@@ -414,6 +414,7 @@ fn main() {
 
     let doc = Json::obj(vec![
         ("format", Json::from("neurosnn-bench-train-v1")),
+        ("host", bench::timing::host_json()),
         (
             "config",
             Json::obj(vec![

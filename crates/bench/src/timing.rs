@@ -134,9 +134,12 @@ impl Report {
         self.measurements.iter().find(|m| m.name == name)
     }
 
-    /// Renders the report as a JSON value.
+    /// Renders the report as a JSON value, stamped with the `host` that
+    /// produced it (hostname, OS, architecture, core count and git
+    /// revision) so a committed row can be traced to its machine.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
+            ("host", host_json()),
             (
                 "benchmarks",
                 Json::Arr(
@@ -186,6 +189,22 @@ impl Report {
         println!("wrote {path}");
         Ok(())
     }
+}
+
+/// [`snn_obs::provenance::host_info`] as a JSON object: the `host` stamp
+/// every `BENCH_*.json` carries.
+pub fn host_json() -> Json {
+    let host = snn_obs::provenance::host_info();
+    Json::obj(vec![
+        ("hostname", Json::from(host.hostname.as_str())),
+        ("os", Json::from(host.os)),
+        ("arch", Json::from(host.arch)),
+        ("cores", Json::from(host.cores)),
+        (
+            "git_revision",
+            host.git_revision.as_deref().map_or(Json::Null, Json::from),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -242,5 +261,15 @@ mod tests {
         );
         assert!(r.get("spin").is_some());
         assert!(r.get("missing").is_none());
+    }
+
+    #[test]
+    fn report_is_stamped_with_host_provenance() {
+        let j = Report::new().to_json();
+        let host = j.get("host").expect("host object");
+        for key in ["hostname", "os", "arch", "cores", "git_revision"] {
+            assert!(host.get(key).is_some(), "missing host.{key}");
+        }
+        assert!(host.get("cores").unwrap().as_f64().unwrap() >= 1.0);
     }
 }

@@ -84,7 +84,8 @@ pub struct ScratchSpace {
     /// differentiated (`T × n_out`).
     pub(crate) d_o: Matrix,
     /// Downstream adjoint being produced (`T × n_in`); swapped with
-    /// `d_o` after each layer.
+    /// `d_o` after each layer. Not formed for the bottom layer, whose
+    /// input adjoint no layer reads.
     pub(crate) d_pre: Matrix,
     /// `dv[t]` adjoint of the membrane potential — length ≥ widest layer.
     pub(crate) dv: Vec<f32>,

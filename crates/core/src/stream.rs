@@ -315,8 +315,7 @@ impl StreamSession {
                 StreamMode::Dense => self.step_dense(net, &chans),
             }
             self.committed += 1;
-            chans.clear();
-            self.spare.push(chans);
+            self.recycle(chans);
         }
         // Delta base never trails the frontier: after a TICK, dt = 0
         // addresses the first uncommitted step.
@@ -349,7 +348,18 @@ impl StreamSession {
         self.counts.fill(0.0);
         self.committed = 0;
         self.cursor = 0;
-        while let Some(mut chans) = self.pending.pop_front() {
+        while let Some(chans) = self.pending.pop_front() {
+            self.recycle(chans);
+        }
+    }
+
+    /// Returns a consumed channel list to the spare pool. Only lists that
+    /// own an allocation are kept: silent steps yield zero-capacity lists,
+    /// and pooling those would grow `spare` by one entry per silent step
+    /// for as long as the stream lives. Allocated lists only ever come
+    /// out of `pending`, so the pool stays within `max_pending` entries.
+    fn recycle(&mut self, mut chans: Vec<usize>) {
+        if chans.capacity() > 0 {
             chans.clear();
             self.spare.push(chans);
         }
@@ -492,6 +502,27 @@ mod tests {
         stream.advance(4);
         assert_eq!(stream.steps(), 4);
         assert_eq!(stream.readout(), 0);
+    }
+
+    #[test]
+    fn spare_pool_stays_bounded_over_a_long_silent_stream() {
+        let engine = engines().remove(0);
+        let mut stream = engine.stream_session().with_max_pending(8);
+        for round in 0..1000 {
+            if round % 10 == 0 {
+                stream.feed_events(&[(0, 1), (3, 2)]).unwrap();
+            }
+            stream.advance(100);
+            assert!(
+                stream.spare.len() <= stream.max_pending(),
+                "round {round}: {} spare lists for a horizon of {}",
+                stream.spare.len(),
+                stream.max_pending()
+            );
+        }
+        assert_eq!(stream.steps(), 100_000);
+        stream.reset();
+        assert!(stream.spare.len() <= stream.max_pending());
     }
 
     #[test]

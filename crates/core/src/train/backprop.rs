@@ -18,6 +18,12 @@
 //! which is exactly eq. 13 with the synapse-filter chain made explicit.
 //! The hard-reset model uses the standard stop-gradient-through-reset
 //! convention: `dv[t] = dOᵉˣᵗ[t]·ε[t] + λ(1−O[t])·dv[t+1]`.
+//!
+//! The input adjoint `dx` (the `Wᵀ·dv` projection and the `dk` carry)
+//! is formed only for layers with a layer below to read it: the bottom
+//! layer's input is the data raster, so both passes skip that work for
+//! layer 0. `dW` never reads `dk` or `dx`, so the weight gradients are
+//! unchanged bit for bit.
 
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
@@ -285,7 +291,11 @@ pub fn backward_into(
         let params = layer.params();
         let v_th = params.v_th;
         let dw = &mut grads.per_layer[l];
-        d_pre.resize_zeroed(t_steps, n_in);
+        // Only a layer below reads this layer's input adjoint.
+        let has_below = l > 0;
+        if has_below {
+            d_pre.resize_zeroed(t_steps, n_in);
+        }
 
         match layer.kind() {
             NeuronKind::Adaptive => {
@@ -309,11 +319,13 @@ pub fn backward_into(
                     // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned
                     kernels::decay_axpy(-theta, dv, beta, dh_next);
                     dw.add_outer(1.0, dv, rec.pre.row(t));
-                    layer.weights().matvec_t_into(dv, wt_dv);
-                    // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
-                    // downstream adjoint row (same fused helper as the
-                    // sparse path — that identity keeps Exact == dense)
-                    kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
+                    if has_below {
+                        layer.weights().matvec_t_into(dv, wt_dv);
+                        // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
+                        // downstream adjoint row (same fused helper as the
+                        // sparse path — that identity keeps Exact == dense)
+                        kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
+                    }
                 }
             }
             NeuronKind::HardReset | NeuronKind::HardResetMatched => {
@@ -341,14 +353,18 @@ pub fn backward_into(
                     // reference path — differentiates correctly.
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
                     dw.add_outer_indexed(gain, dv, active_tmp);
-                    layer.weights().matvec_t_into(dv, wt_dv);
-                    // dx[t] = gain·(Wᵀ·dv), laned
-                    kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
+                    if has_below {
+                        layer.weights().matvec_t_into(dv, wt_dv);
+                        // dx[t] = gain·(Wᵀ·dv), laned
+                        kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
+                    }
                     dv_next.copy_from_slice(dv);
                 }
             }
         }
-        std::mem::swap(d_o, d_pre);
+        if has_below {
+            std::mem::swap(d_o, d_pre);
+        }
     }
 }
 
@@ -452,7 +468,10 @@ pub fn backward_sparse_into(
         // `Auto` tracks the adjoint scale as it attenuates down the
         // stack.
         let eps = policy.resolve_eps(d_o);
-        d_pre.resize_zeroed(t_steps, n_in);
+        let has_below = l > 0;
+        if has_below {
+            d_pre.resize_zeroed(t_steps, n_in);
+        }
 
         match layer.kind() {
             NeuronKind::Adaptive => {
@@ -481,17 +500,19 @@ pub fn backward_sparse_into(
                     for &i in active {
                         dh_next[i] += -theta * dv[i];
                     }
-                    if active.len() > dense_cutoff {
+                    let dense_step = active.len() > dense_cutoff;
+                    if dense_step {
                         dw.add_outer(1.0, dv, rec.pre.row(t));
-                        layer.weights().matvec_t_into(dv, wt_dv);
                     } else {
                         dw.add_outer_indexed_rows(1.0, dv, active, rec.pre.row(t));
-                        layer.weights().matvec_t_into_indexed(dv, active, wt_dv);
                     }
-                    // Same fused carry helper as `backward_into` — the
-                    // per-element ops are identical, which is what keeps
-                    // the Exact policy bitwise-equal to dense.
-                    kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
+                    if has_below {
+                        project_t(layer.weights(), dv, active, dense_step, wt_dv);
+                        // Same fused carry helper as `backward_into` — the
+                        // per-element ops are identical, which is what keeps
+                        // the Exact policy bitwise-equal to dense.
+                        kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
+                    }
                 }
             }
             NeuronKind::HardReset | NeuronKind::HardResetMatched => {
@@ -515,23 +536,38 @@ pub fn backward_sparse_into(
                     // as in `backward_into` (works for a `Forward` from
                     // any source).
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    if active.len() > dense_cutoff {
+                    let dense_step = active.len() > dense_cutoff;
+                    if dense_step {
                         dw.add_outer_indexed(gain, dv, active_tmp);
-                        layer.weights().matvec_t_into(dv, wt_dv);
                     } else {
                         dw.add_outer_indexed_pairs(gain, dv, active, active_tmp);
-                        layer.weights().matvec_t_into_indexed(dv, active, wt_dv);
                     }
-                    // dx[t] = gain·(Wᵀ·dv), same laned helper as the
-                    // dense path
-                    kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
+                    if has_below {
+                        project_t(layer.weights(), dv, active, dense_step, wt_dv);
+                        // dx[t] = gain·(Wᵀ·dv), same laned helper as the
+                        // dense path
+                        kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
+                    }
                     // Only surviving events propagate through the
                     // reset-gated carry (dv was pruned in place).
                     dv_next.copy_from_slice(dv);
                 }
             }
         }
-        std::mem::swap(d_o, d_pre);
+        if has_below {
+            std::mem::swap(d_o, d_pre);
+        }
+    }
+}
+
+/// `wt_dv = Wᵀ·dv` for one step of [`backward_sparse_into`]: over the
+/// surviving `active` rows, or over all of `dv` when the step fell back
+/// to the dense kernels (pruned entries are exact zeros either way).
+fn project_t(w: &Matrix, dv: &[f32], active: &[usize], dense_step: bool, wt_dv: &mut [f32]) {
+    if dense_step {
+        w.matvec_t_into(dv, wt_dv);
+    } else {
+        w.matvec_t_into_indexed(dv, active, wt_dv);
     }
 }
 
@@ -889,6 +925,49 @@ mod tests {
             let sparse = backward_sparse(&net, &fwd, &d_out, sur, SparsityPolicy::Exact);
             for (l, (a, b)) in dense.per_layer.iter().zip(&sparse.per_layer).enumerate() {
                 assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} layer {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_kind_as_bottom_layer_of_a_mixed_stack_keeps_exact_equal_to_dense() {
+        // The input adjoint is skipped for layer 0 only: with each kind in
+        // turn at the bottom of a mixed stack, both passes must still agree
+        // bitwise, and every layer above the bottom must still receive the
+        // adjoint it needs (a nonzero gradient at every depth).
+        let kinds = [
+            NeuronKind::Adaptive,
+            NeuronKind::HardReset,
+            NeuronKind::HardResetMatched,
+        ];
+        let widths = [6, 10, 8, 3];
+        for bottom in 0..kinds.len() {
+            let mut rng = Rng::seed_from(31 + bottom as u64);
+            let params = NeuronParams::paper_defaults().with_v_th(0.3);
+            let layers = (0..3)
+                .map(|l| {
+                    let kind = kinds[(bottom + l) % kinds.len()];
+                    DenseLayer::new(widths[l], widths[l + 1], kind, params, &mut rng)
+                })
+                .collect();
+            let net = Network::from_layers(layers);
+            let input = patterned_raster(16, 6, 5 + bottom as u64, 0.4);
+            let fwd = net.forward(&input);
+            let d_out = Matrix::full(16, 3, 0.4);
+            let sur = Surrogate::paper_default();
+            let dense = backward(&net, &fwd, &d_out, sur);
+            let sparse = backward_sparse(&net, &fwd, &d_out, sur, SparsityPolicy::Exact);
+            for (l, (a, b)) in dense.per_layer.iter().zip(&sparse.per_layer).enumerate() {
+                let kind = net.layers()[l].kind();
+                assert_eq!(
+                    a.as_slice(),
+                    b.as_slice(),
+                    "bottom {bottom}: {kind:?} layer {l}"
+                );
+                assert!(
+                    a.max_abs() > 0.0,
+                    "bottom {bottom}: {kind:?} layer {l} received zero gradient"
+                );
             }
         }
     }

@@ -259,11 +259,11 @@ impl Matrix {
     /// `active` carry nonzero `x` entries (a precomputed active-index
     /// list, e.g. the spiking channels of a timestep). `O(cols · nnz)`.
     ///
-    /// The in-tree BPTT keeps its adjoints dense (surrogate gradients
-    /// are rarely exactly zero), so this variant is provided for
-    /// event-driven consumers — spike-vector projections, pruned
-    /// adjoints — and is pinned to [`matvec_t_into`](Self::matvec_t_into)
-    /// by property tests.
+    /// The event-driven BPTT (`snn_core::train::backward_sparse_into`)
+    /// projects each timestep's pruned membrane adjoint through this
+    /// kernel, listing the surviving error events as `active`. It is
+    /// pinned to [`matvec_t_into`](Self::matvec_t_into) by property
+    /// tests.
     ///
     /// # Panics
     ///

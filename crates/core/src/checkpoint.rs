@@ -243,9 +243,13 @@ pub fn from_json(json: &str) -> Result<Network, CheckpointError> {
             .ok_or_else(|| parse_err("weights is not an array"))?;
         // checked_mul: absurd dims in a malformed file must be a parse
         // error, not an overflow panic (or a wrapped-to-0 silent accept).
-        let expected = rows
-            .checked_mul(cols)
-            .ok_or_else(|| parse_err(format!("layer {i}: dimensions {rows}x{cols} overflow")))?;
+        // A zero side is rejected too: the weight count is 0 whatever
+        // the other side is, and inference would size buffers by it.
+        let expected = rows.checked_mul(cols).filter(|&n| n > 0).ok_or_else(|| {
+            parse_err(format!(
+                "layer {i}: dimensions {rows}x{cols} are zero or overflow"
+            ))
+        })?;
         if wj.len() != expected {
             return Err(parse_err(format!(
                 "layer {i}: weight count {} does not match {rows}x{cols}",
@@ -460,6 +464,24 @@ mod tests {
         ]}"#;
         let err = from_json(json).unwrap_err();
         assert!(err.to_string().contains("do not chain"), "{err}");
+    }
+
+    #[test]
+    fn zero_layer_dimension_is_a_parse_error_not_an_abort() {
+        // `rows·cols = 0` passes the weight-count check, so without the
+        // zero-side check this loads and the first inference tries to
+        // allocate `rows` floats.
+        let json = r#"{"format": "neurosnn-checkpoint-v1", "layers": [
+            {"kind": "Adaptive",
+             "params": {"tau": 4, "tau_r": 4, "theta": 1, "v_th": 1},
+             "rows": 1000000000000, "cols": 0, "weights": []},
+            {"kind": "Adaptive",
+             "params": {"tau": 4, "tau_r": 4, "theta": 1, "v_th": 1},
+             "rows": 0, "cols": 1000000000000, "weights": []}
+        ]}"#;
+        let err = from_json(json).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("zero"), "{err}");
     }
 
     #[test]

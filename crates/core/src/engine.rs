@@ -17,8 +17,8 @@
 //!   buffers; after the first call its [`infer`](Session::infer) /
 //!   [`classify`](Session::classify) hot path performs **zero
 //!   per-sample heap allocations**.
-//! * [`SparseBackend`] / [`DenseBackend`] — the event-driven kernels
-//!   and the dense reference. The hardware backend lives with the
+//! * [`Network`] / [`DenseBackend`] — the event-driven kernels and the
+//!   dense reference. The hardware backend lives with the
 //!   crossbar model: `snn_hardware::Deployment` implements
 //!   [`InferenceBackend`], and the `snn-engine` crate packages it as a
 //!   [`Backend`] factory with quantization/variation config.
@@ -53,7 +53,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::scratch::ScratchSpace;
-use crate::{Forward, Network, SpikeRaster};
+use crate::{Drive, Forward, Network, SpikeRaster};
 use snn_tensor::stats;
 use std::fmt;
 use std::path::Path;
@@ -84,37 +84,25 @@ pub trait InferenceBackend: Send + Sync {
     /// Runs one input through the backend into reusable buffers.
     fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace);
 
-    /// How a [`StreamSession`](crate::stream::StreamSession) must step
-    /// this backend to stay bitwise-identical to
+    /// The [`Drive`] this backend's rollout runs under, which a
+    /// [`StreamSession`](crate::stream::StreamSession) steps with so its
+    /// step-at-a-time rollout is bitwise identical to
     /// [`forward_into`](Self::forward_into).
     ///
-    /// The default is [`StreamMode::Sparse`], correct for any backend
-    /// whose `forward_into` bottoms out in the event-driven
-    /// [`Network::forward_into`] rollout (the bare network, the sparse
-    /// backend, and the hardware backend, which replays its *effective*
-    /// network through the sparse kernels). Backends with a different
-    /// arithmetic path must override — the dense reference does, because
-    /// its per-step matrix–vector products order the floating-point
-    /// reductions differently.
-    fn stream_mode(&self) -> StreamMode {
-        StreamMode::Sparse
+    /// The default is [`Drive::Events`], correct for any backend whose
+    /// `forward_into` bottoms out in the event-driven
+    /// [`Network::forward_into`] rollout (the bare network and the
+    /// hardware backend, which replays its *effective* network through
+    /// the sparse kernels). The dense reference overrides it with
+    /// [`Drive::Dense`], because its per-step matrix–vector products
+    /// order the floating-point reductions differently.
+    fn drive(&self) -> Drive {
+        Drive::Events
     }
 }
 
-/// Which per-step arithmetic a [`StreamSession`](crate::stream::StreamSession)
-/// replays for a backend (see [`InferenceBackend::stream_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// Event-driven stepping (`DenseLayer::step_events`), matching the
-    /// sparse rollout bitwise.
-    Sparse,
-    /// Dense per-row matrix–vector stepping (`DenseLayer::step_dense`),
-    /// matching the dense reference rollout bitwise.
-    Dense,
-}
-
-/// A bare [`Network`] is the sparse (event-driven) backend: this impl is
-/// what lets borrowing callers — e.g.
+/// A bare [`Network`] is the sparse (event-driven) backend that
+/// [`Backend::Sparse`] builds. Borrowing callers — e.g.
 /// [`evaluate_classification`](crate::train::evaluate_classification) —
 /// reuse the engine's batched evaluation machinery without cloning.
 impl InferenceBackend for Network {
@@ -128,34 +116,6 @@ impl InferenceBackend for Network {
 
     fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
         Network::forward_into(self, input, fwd, scratch);
-    }
-}
-
-/// Event-driven backend: the sparsity-aware kernels (`g[t] = α·g[t−1] +
-/// Σ active columns`), the production path.
-#[derive(Debug, Clone)]
-pub struct SparseBackend {
-    net: Network,
-}
-
-impl SparseBackend {
-    /// Wraps a network.
-    pub fn new(net: Network) -> Self {
-        Self { net }
-    }
-}
-
-impl InferenceBackend for SparseBackend {
-    fn network(&self) -> &Network {
-        &self.net
-    }
-
-    fn label(&self) -> &str {
-        "sparse"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.net.forward_into(input, fwd, scratch);
     }
 }
 
@@ -186,8 +146,8 @@ impl InferenceBackend for DenseBackend {
         self.net.forward_dense_into(input, fwd, scratch);
     }
 
-    fn stream_mode(&self) -> StreamMode {
-        StreamMode::Dense
+    fn drive(&self) -> Drive {
+        Drive::Dense
     }
 }
 
@@ -250,7 +210,7 @@ impl EngineBuilder {
     /// Builds the engine, consuming the network into the backend.
     pub fn build(self) -> Engine {
         let backend: Arc<dyn InferenceBackend> = match self.backend {
-            Backend::Sparse => Arc::new(SparseBackend::new(self.net)),
+            Backend::Sparse => Arc::new(self.net),
             Backend::Dense => Arc::new(DenseBackend::new(self.net)),
             Backend::Custom(factory) => factory.build(self.net),
         };

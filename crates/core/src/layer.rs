@@ -8,6 +8,20 @@ use snn_tensor::kernels::{self, ColMajor};
 use snn_tensor::{Matrix, Rng};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
+/// Where a timestep's synaptic drive comes from. The neuron dynamics
+/// are the same under both; only the weighted input sum differs, in the
+/// order of its floating-point reductions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drive {
+    /// Event-driven: the weight columns the step's input spikes select,
+    /// summed over the column-major mirror
+    /// (`kernels::fused_decay_accumulate`). The production path.
+    Events,
+    /// Dense: a full matrix–vector product with the synapse trace or the
+    /// 0/1 input row (`Matrix::matvec_into`). The reference path.
+    Dense,
+}
+
 /// Which neuron dynamics a layer uses.
 ///
 /// * [`NeuronKind::Adaptive`] — the paper's filter-based model
@@ -244,21 +258,43 @@ impl DenseLayer {
         self.params
     }
 
-    /// Rolls the layer over a `T × n_in` spike matrix, returning the full
-    /// cache. State starts from zero (independent sample) and is never
-    /// cleared mid-sequence.
+    /// Dense reference rollout over a `T × n_in` binary spike matrix
+    /// (nonzero entries are spikes), returning the full cache. State
+    /// starts from zero (independent sample) and is never cleared
+    /// mid-sequence.
     ///
-    /// Allocating wrapper over
-    /// [`forward_dense_into`](Self::forward_dense_into) — there is one
-    /// dense implementation of each neuron kind's dynamics, not two.
+    /// The same timestep as [`forward_steps`](Self::forward_steps), fed
+    /// by the [`Drive::Dense`] matrix–vector product instead of the
+    /// event-driven column sums.
     ///
     /// # Panics
     ///
     /// Panics if `input.cols() != n_in`.
     pub fn forward(&self, input: &Matrix) -> LayerRecord {
+        assert_eq!(
+            input.cols(),
+            self.n_in(),
+            "layer expects {} inputs, got {}",
+            self.n_in(),
+            input.cols()
+        );
+        let mut active_in = ActiveIndices::new();
+        for t in 0..input.rows() {
+            for (c, &x) in input.row(t).iter().enumerate() {
+                if x != 0.0 {
+                    active_in.push(c);
+                }
+            }
+            active_in.end_step();
+        }
         let mut rec = LayerRecord::empty();
-        let mut scratch = LayerScratch::default();
-        self.forward_dense_into(input, &mut rec, &mut scratch);
+        self.rollout(
+            Drive::Dense,
+            &active_in,
+            &mut rec,
+            &mut LayerScratch::default(),
+            &mut ActiveIndices::new(),
+        );
         rec
     }
 
@@ -287,354 +323,163 @@ impl DenseLayer {
         scratch: &mut LayerScratch,
         active_out: &mut ActiveIndices,
     ) {
+        self.rollout(Drive::Events, active_in, rec, scratch, active_out);
+    }
+
+    /// The batch rollout under either drive: a loop of recorded
+    /// timesteps from zero state.
+    pub(crate) fn rollout(
+        &self,
+        drive: Drive,
+        active_in: &ActiveIndices,
+        rec: &mut LayerRecord,
+        scratch: &mut LayerScratch,
+        active_out: &mut ActiveIndices,
+    ) {
         let t_steps = active_in.steps();
         let (n_in, n_out) = (self.n_in(), self.n_out());
         rec.resize_zeroed(t_steps, n_in, n_out);
         scratch.ensure(n_in, n_out);
         active_out.clear();
-        match self.kind {
-            NeuronKind::Adaptive => {
-                self.forward_steps_adaptive(active_in, rec, scratch, active_out)
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                self.forward_steps_hard_reset(active_in, rec, scratch, active_out)
-            }
+        let mirror = self.mirror_for(drive);
+        let cols = mirror.as_ref().map(|m| &m.cols);
+        let constants = self.step_constants();
+        for t in 0..t_steps {
+            self.step_with(
+                constants,
+                cols,
+                active_in.step(t),
+                scratch,
+                Some((rec.pre.row_mut(t), rec.v.row_mut(t), rec.o.row_mut(t))),
+            );
+            active_out.push_step(&scratch.fired);
         }
     }
 
-    fn forward_steps_adaptive(
+    /// One timestep over **carried** state — the streaming form of the
+    /// rollouts, and the same timestep they loop over minus the BPTT
+    /// record writes (which feed no dynamics). A step-at-a-time rollout
+    /// over a stream of chunks is therefore **bitwise identical** to the
+    /// batch rollout under the same `drive` over the concatenated
+    /// raster.
+    ///
+    /// `active` lists this step's input spike channels (ascending), and
+    /// `scratch` carries the layer state across calls — the caller owns
+    /// it, sizes it for this layer before the first step, and never
+    /// resizes it mid-stream. Afterwards `scratch.fired` holds this
+    /// step's output spikes (ascending).
+    pub fn step(&self, drive: Drive, active: &[usize], scratch: &mut LayerScratch) {
+        let mirror = self.mirror_for(drive);
+        let cols = mirror.as_ref().map(|m| &m.cols);
+        self.step_with(self.step_constants(), cols, active, scratch, None);
+    }
+
+    /// The event-driven drive reads the column-major mirror; the dense
+    /// drive reads `weights` directly and leaves the mirror alone.
+    fn mirror_for(&self, drive: Drive) -> Option<RwLockReadGuard<'_, Mirror>> {
+        match drive {
+            Drive::Events => Some(self.fresh_mirror()),
+            Drive::Dense => None,
+        }
+    }
+
+    /// The constants of this layer's dynamics — synapse decay, reset
+    /// decay and input gain — resolved once per rollout, not per step
+    /// (each decay is an `exp`).
+    fn step_constants(&self) -> (f32, f32, f32) {
+        let p = &self.params;
+        (p.synapse_decay(), p.reset_decay(), self.kind.input_gain(p))
+    }
+
+    /// The single definition of a timestep, per neuron kind. `cols` is
+    /// the [`Drive::Events`] column mirror, or `None` for the
+    /// [`Drive::Dense`] product. `rec` holds this step's `(pre, v, o)`
+    /// BPTT record rows, zero-filled. Always inlined, so the rollout
+    /// loop and the streaming step each get a copy specialised for
+    /// whether they record. The rollouts themselves are left to the
+    /// compiler: forcing them inline as well measured slower.
+    #[inline(always)]
+    fn step_with(
         &self,
-        active_in: &ActiveIndices,
-        rec: &mut LayerRecord,
+        (alpha, beta, gain): (f32, f32, f32),
+        cols: Option<&ColMajor>,
+        active: &[usize],
         scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
+        rec: Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) {
-        let t_steps = active_in.steps();
-        let alpha = self.params.synapse_decay();
-        let beta = self.params.reset_decay();
-        let (theta, v_th) = (self.params.theta, self.params.v_th);
-        let mirror = self.fresh_mirror();
         let LayerScratch {
-            trace_in: k,
-            trace_out: h,
-            drive: g,
+            trace_in,
+            trace_out,
+            drive,
             fired,
             prev_fired,
         } = scratch;
-
-        for t in 0..t_steps {
-            let active = active_in.step(t);
-            kernels::decay_add_unit(alpha, k, active); // eq. 9
-            rec.pre.row_mut(t).copy_from_slice(k);
-            // g[t] = α·g[t−1] + Σ active columns  (eq. 7, factored),
-            // fused decay + accumulation in one blocked traversal
-            kernels::fused_decay_accumulate(alpha, &mirror.cols, active, g);
-            // eq. 8: decay + last step's spikes charge h (empty at t = 0)
-            kernels::decay_add_unit(beta, h, prev_fired);
-            // eqs. 6 + 10: membrane, threshold, and record writes fused
-            kernels::fused_adaptive_membrane(
-                theta,
-                v_th,
-                g,
-                h,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                Some(fired),
-            );
-            active_out.push_step(fired);
-            std::mem::swap(fired, prev_fired);
-        }
-    }
-
-    fn forward_steps_hard_reset(
-        &self,
-        active_in: &ActiveIndices,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
-    ) {
-        let t_steps = active_in.steps();
-        let lambda = self.params.synapse_decay();
-        let gain = self.kind.input_gain(&self.params);
-        let v_th = self.params.v_th;
-        let mirror = self.fresh_mirror();
-        let LayerScratch {
-            trace_out: vm,
-            drive: current,
-            fired,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            let active = active_in.step(t);
-            {
-                let prow = rec.pre.row_mut(t);
-                for &j in active {
-                    prow[j] = 1.0;
-                }
-            }
-            // `W·x[t]` from scratch each step: the alpha = 0 case of the
-            // fused kernel is an exact clear + blocked accumulation.
-            kernels::fused_decay_accumulate(0.0, &mirror.cols, active, current);
-            // Membrane decay + threshold + hard reset + record writes in
-            // one sweep (vrow caches the pre-reset potential for BPTT).
-            kernels::fused_hard_reset_membrane(
-                lambda,
-                gain,
-                v_th,
-                current,
-                vm,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                Some(fired),
-            );
-            active_out.push_step(fired);
-        }
-    }
-
-    /// Dense rollout into reusable buffers: per-step matrix–vector
-    /// products with no event-driven shortcuts, writing the same
-    /// [`LayerRecord`] layout as [`forward_steps`](Self::forward_steps).
-    /// This is the allocation-free form of [`forward`](Self::forward)
-    /// (bit-identical results) and the compute path of the engine's
-    /// `DenseBackend`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != n_in`.
-    pub fn forward_dense_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        assert_eq!(
-            input.cols(),
-            self.n_in(),
-            "layer expects {} inputs, got {}",
-            self.n_in(),
-            input.cols()
-        );
-        rec.resize_zeroed(input.rows(), self.n_in(), self.n_out());
-        scratch.ensure(self.n_in(), self.n_out());
-        match self.kind {
-            NeuronKind::Adaptive => self.forward_dense_adaptive_into(input, rec, scratch),
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                self.forward_dense_hard_reset_into(input, rec, scratch)
-            }
-        }
-    }
-
-    fn forward_dense_adaptive_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        let t_steps = input.rows();
-        let alpha = self.params.synapse_decay();
-        let beta = self.params.reset_decay();
-        let (theta, v_th) = (self.params.theta, self.params.v_th);
-        let LayerScratch {
-            trace_in: k,
-            trace_out: h,
-            drive: g,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            kernels::decay_axpy(1.0, input.row(t), alpha, k); // eq. 9
-            rec.pre.row_mut(t).copy_from_slice(k);
-            self.weights.matvec_into(k, g); // eq. 7, dense product
-            if t > 0 {
-                // eq. 8: decay + last step's spikes charge h
-                kernels::decay_axpy(1.0, rec.o.row(t - 1), beta, h);
-            } else {
-                kernels::scale(beta, h); // eq. 8 decay (no spikes yet)
-            }
-            // eqs. 6 + 10 fused
-            kernels::fused_adaptive_membrane(
-                theta,
-                v_th,
-                g,
-                h,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                None,
-            );
-        }
-    }
-
-    fn forward_dense_hard_reset_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        let t_steps = input.rows();
-        let lambda = self.params.synapse_decay();
-        let gain = self.kind.input_gain(&self.params);
-        let v_th = self.params.v_th;
-        let LayerScratch {
-            trace_out: vm,
-            drive: current,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            rec.pre.row_mut(t).copy_from_slice(input.row(t));
-            self.weights.matvec_into(input.row(t), current);
-            // Membrane decay + threshold + hard reset (eq. 1b) + record
-            // writes in one sweep (vrow caches the pre-reset potential).
-            kernels::fused_hard_reset_membrane(
-                lambda,
-                gain,
-                v_th,
-                current,
-                vm,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                None,
-            );
-        }
-    }
-
-    /// One event-driven timestep over **carried** state — the streaming
-    /// form of [`forward_steps`](Self::forward_steps).
-    ///
-    /// `active` lists this step's input spike channels (ascending),
-    /// `prev_fired` this layer's own output spikes from the previous
-    /// step (empty at stream start), and `scratch` carries the layer
-    /// state (`trace_out`, `drive`) across calls — the caller owns it,
-    /// sizes it for this layer before the first step, and never resizes
-    /// it mid-stream. `fired` is cleared and receives this step's output
-    /// spikes (ascending).
-    ///
-    /// The loop body is op-for-op identical to one iteration of the
-    /// [`forward_steps`](Self::forward_steps) rollout minus the BPTT
-    /// record writes (which feed no dynamics), so a step-at-a-time
-    /// rollout over a stream of chunks is **bitwise identical** to the
-    /// batch rollout over the concatenated raster. The input trace
-    /// `trace_in` is not maintained here: in the event-driven path it
-    /// exists only for the training record.
-    pub fn step_events(
-        &self,
-        active: &[usize],
-        prev_fired: &[usize],
-        scratch: &mut LayerScratch,
-        fired: &mut Vec<usize>,
-    ) {
-        let mirror = self.fresh_mirror();
+        std::mem::swap(fired, prev_fired);
+        let (pre, vrow, orow) = match rec {
+            Some((pre, v, o)) => (Some(pre), Some(v), Some(o)),
+            None => (None, None, None),
+        };
+        let p = &self.params;
         match self.kind {
             NeuronKind::Adaptive => {
-                let alpha = self.params.synapse_decay();
-                let beta = self.params.reset_decay();
-                let (theta, v_th) = (self.params.theta, self.params.v_th);
-                let LayerScratch {
-                    trace_out: h,
-                    drive: g,
-                    ..
-                } = scratch;
-                // g[t] = α·g[t−1] + Σ active columns  (eq. 7, factored)
-                kernels::fused_decay_accumulate(alpha, &mirror.cols, active, g);
+                // eq. 9: the synapse trace k, read by the dense product
+                // and the record only
+                if cols.is_none() || pre.is_some() {
+                    kernels::decay_add_unit(alpha, trace_in, active);
+                }
+                if let Some(pre) = pre {
+                    pre.copy_from_slice(trace_in);
+                }
+                match cols {
+                    // g[t] = α·g[t−1] + Σ active columns (eq. 7, factored)
+                    Some(cols) => kernels::fused_decay_accumulate(alpha, cols, active, drive),
+                    // g[t] = W·k[t] (eq. 7)
+                    None => self.weights.matvec_into(trace_in, drive),
+                }
                 // eq. 8: decay + last step's spikes charge h
-                kernels::decay_add_unit(beta, h, prev_fired);
-                // eqs. 6 + 10 (fused kernel clears `fired`)
-                kernels::fused_adaptive_membrane(theta, v_th, g, h, None, None, Some(fired));
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = self.params.synapse_decay();
-                let gain = self.kind.input_gain(&self.params);
-                let v_th = self.params.v_th;
-                let LayerScratch {
-                    trace_out: vm,
-                    drive: current,
-                    ..
-                } = scratch;
-                kernels::fused_decay_accumulate(0.0, &mirror.cols, active, current);
-                // eq. 1b fused (the kernel clears `fired`)
-                kernels::fused_hard_reset_membrane(
-                    lambda,
-                    gain,
-                    v_th,
-                    current,
-                    vm,
-                    None,
-                    None,
+                kernels::decay_add_unit(beta, trace_out, prev_fired);
+                // eqs. 6 + 10: membrane, threshold, and record writes fused
+                kernels::fused_adaptive_membrane(
+                    p.theta,
+                    p.v_th,
+                    drive,
+                    trace_out,
+                    vrow,
+                    orow,
                     Some(fired),
                 );
             }
-        }
-    }
-
-    /// One dense timestep over **carried** state — the streaming form of
-    /// [`forward_dense_into`](Self::forward_dense_into).
-    ///
-    /// `input` is this step's dense input row (length `n_in`),
-    /// `prev_out` this layer's own output row from the previous step
-    /// (all zeros at stream start), and `out` receives this step's 0/1
-    /// output row (length `n_out`). `scratch` carries the layer state
-    /// across calls under the same rules as
-    /// [`step_events`](Self::step_events).
-    ///
-    /// Bitwise identical to the batch rollout: the only divergence from
-    /// the [`forward_dense_into`](Self::forward_dense_into) loop body is
-    /// that the `t = 0` reset-trace charge is an add of an all-zero row
-    /// instead of a skip, and `x + 0.0 == x` bitwise for every value the
-    /// non-negative trace can hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths do not match the layer shape.
-    pub fn step_dense(
-        &self,
-        input: &[f32],
-        prev_out: &[f32],
-        scratch: &mut LayerScratch,
-        out: &mut [f32],
-    ) {
-        let n_out = self.n_out();
-        assert_eq!(input.len(), self.n_in(), "input row width mismatch");
-        assert_eq!(prev_out.len(), n_out, "prev output row width mismatch");
-        assert_eq!(out.len(), n_out, "output row width mismatch");
-        match self.kind {
-            NeuronKind::Adaptive => {
-                let alpha = self.params.synapse_decay();
-                let beta = self.params.reset_decay();
-                let (theta, v_th) = (self.params.theta, self.params.v_th);
-                let LayerScratch {
-                    trace_in: k,
-                    trace_out: h,
-                    drive: g,
-                    ..
-                } = scratch;
-                kernels::decay_axpy(1.0, input, alpha, k); // eq. 9
-                self.weights.matvec_into(k, g); // eq. 7, dense product
-                                                // eq. 8: decay + last step's spikes charge h
-                kernels::decay_axpy(1.0, prev_out, beta, h);
-                // eqs. 6 + 10 fused, writing the 0/1 output row directly
-                kernels::fused_adaptive_membrane(theta, v_th, g, h, None, Some(out), None);
-            }
             NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = self.params.synapse_decay();
-                let gain = self.kind.input_gain(&self.params);
-                let v_th = self.params.v_th;
-                let LayerScratch {
-                    trace_out: vm,
-                    drive: current,
-                    ..
-                } = scratch;
-                self.weights.matvec_into(input, current);
-                // eq. 1b fused, writing the 0/1 output row directly
+                if let Some(pre) = pre {
+                    for &j in active {
+                        pre[j] = 1.0;
+                    }
+                }
+                match cols {
+                    // `W·x[t]` from scratch each step: the alpha = 0 case
+                    // of the fused kernel is an exact clear + accumulation
+                    Some(cols) => kernels::fused_decay_accumulate(0.0, cols, active, drive),
+                    // stage the 0/1 row in `trace_in`, unused by this kind
+                    None => {
+                        trace_in.fill(0.0);
+                        for &j in active {
+                            trace_in[j] = 1.0;
+                        }
+                        self.weights.matvec_into(trace_in, drive);
+                    }
+                }
+                // eq. 1b: membrane decay + threshold + hard reset + record
+                // writes in one sweep (the v row caches the pre-reset
+                // potential)
                 kernels::fused_hard_reset_membrane(
-                    lambda,
+                    alpha,
                     gain,
-                    v_th,
-                    current,
-                    vm,
-                    None,
-                    Some(out),
-                    None,
+                    p.v_th,
+                    drive,
+                    trace_out,
+                    vrow,
+                    orow,
+                    Some(fired),
                 );
             }
         }
@@ -795,34 +640,6 @@ mod tests {
             let layer = DenseLayer::new(3, 3, kind, NeuronParams::paper_defaults(), &mut rng);
             let rec = layer.forward(&Matrix::zeros(10, 3));
             assert_eq!(rec.o.as_slice().iter().filter(|&&x| x != 0.0).count(), 0);
-        }
-    }
-
-    #[test]
-    fn dense_into_matches_allocating_forward() {
-        let mut rng = Rng::seed_from(9);
-        let mut pattern = Rng::seed_from(31);
-        for kind in [
-            NeuronKind::Adaptive,
-            NeuronKind::HardReset,
-            NeuronKind::HardResetMatched,
-        ] {
-            let layer = DenseLayer::new(5, 4, kind, NeuronParams::paper_defaults(), &mut rng);
-            let mut input = Matrix::zeros(9, 5);
-            for t in 0..9 {
-                for c in 0..5 {
-                    if pattern.coin(0.3) {
-                        input.row_mut(t)[c] = 1.0;
-                    }
-                }
-            }
-            let reference = layer.forward(&input);
-            let mut rec = LayerRecord::empty();
-            let mut scratch = LayerScratch::default();
-            layer.forward_dense_into(&input, &mut rec, &mut scratch);
-            assert_eq!(reference.pre.as_slice(), rec.pre.as_slice(), "{kind:?}");
-            assert_eq!(reference.v.as_slice(), rec.v.as_slice(), "{kind:?}");
-            assert_eq!(reference.o.as_slice(), rec.o.as_slice(), "{kind:?}");
         }
     }
 

@@ -72,7 +72,7 @@ pub mod spike;
 pub mod stream;
 pub mod train;
 
-pub use layer::{DenseLayer, LayerRecord, NeuronKind};
+pub use layer::{DenseLayer, Drive, LayerRecord, NeuronKind};
 pub use network::{Forward, Network};
 pub use scratch::{LayerScratch, ScratchSpace};
 pub use spike::{ActiveIndices, SpikeRaster};

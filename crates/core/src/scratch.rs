@@ -26,7 +26,8 @@ use snn_tensor::{GradRaster, Matrix};
 /// potential, drive accumulator).
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
-    /// Input-side trace `k[t]` (adaptive) — length `n_in`.
+    /// Input-side trace `k[t]` (adaptive), or the staged 0/1 input row
+    /// of the dense drive (hard reset) — length `n_in`.
     pub trace_in: Vec<f32>,
     /// Output-side state: reset trace `h[t]` (adaptive) or membrane
     /// potential (hard reset) — length `n_out`.
@@ -34,13 +35,13 @@ pub struct LayerScratch {
     /// Drive accumulator `g[t] = W·k[t]` (adaptive, maintained
     /// incrementally) or the per-step current `W·x[t]` — length `n_out`.
     pub drive: Vec<f32>,
-    /// Staging for the indices fired at the step being computed (filled
-    /// by the fused membrane kernels, then bulk-appended to the output
-    /// `ActiveIndices`).
+    /// The indices fired at the most recent step (filled by the fused
+    /// membrane kernels; the rollouts bulk-append it to the output
+    /// `ActiveIndices`, the stream feeds it to the next layer).
     pub fired: Vec<usize>,
     /// The previous step's fired indices (swapped with
-    /// [`fired`](Self::fired) after each step; the eq. 8 reset-trace
-    /// charge reads it).
+    /// [`fired`](Self::fired) at the start of each step; the eq. 8
+    /// reset-trace charge reads it).
     pub prev_fired: Vec<usize>,
 }
 
@@ -48,7 +49,7 @@ impl LayerScratch {
     /// Sizes and zero-fills the three state buffers and clears the fired
     /// staging lists (the single home of the buffer-initialization
     /// invariant — called by `ScratchSpace::ensure` and by
-    /// `DenseLayer::forward_steps`).
+    /// the `DenseLayer` rollouts).
     pub(crate) fn ensure(&mut self, n_in: usize, n_out: usize) {
         self.trace_in.clear();
         self.trace_in.resize(n_in, 0.0);
@@ -106,9 +107,6 @@ pub struct ScratchSpace {
     pub(crate) grad_events: GradRaster,
     /// Scratch `d_output` the trainer hands to the losses.
     pub(crate) d_loss: Matrix,
-    /// Input raster staged as a dense matrix for
-    /// [`Network::forward_dense_into`](crate::Network::forward_dense_into).
-    pub(crate) dense_input: Matrix,
 }
 
 impl ScratchSpace {

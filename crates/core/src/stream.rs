@@ -12,10 +12,14 @@
 //!
 //! The contract is strict: a chunked rollout is **bitwise identical** to
 //! a single-shot [`Session::classify`](crate::engine::Session::classify)
-//! of the concatenated raster, for every backend. The per-step kernels
-//! (`DenseLayer::step_events` / `step_dense`) replicate the batch loop
-//! bodies op for op, and the readout accumulates spike counts in the
-//! same time-ascending order as `Forward::spike_counts_into`.
+//! of the concatenated raster, for every backend. It holds by
+//! construction: each committed step calls [`DenseLayer::step`] under
+//! the backend's [`Drive`], the same timestep the batch rollouts loop
+//! over, and the readout accumulates spike counts in the same
+//! time-ascending order as `Forward::spike_counts_into`.
+//!
+//! [`DenseLayer::step`]: crate::DenseLayer::step
+//! [`Drive`]: crate::Drive
 //!
 //! # Examples
 //!
@@ -41,9 +45,10 @@
 //! assert_eq!(stream.readout(), session.classify(&raster));
 //! ```
 
-use crate::engine::{Engine, StreamMode};
+use crate::engine::Engine;
 use crate::scratch::LayerScratch;
-use snn_tensor::{kernels, stats};
+use crate::Drive;
+use snn_tensor::stats;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -126,24 +131,12 @@ impl Error for StreamError {}
 #[derive(Debug)]
 pub struct StreamSession {
     engine: Engine,
-    mode: StreamMode,
+    drive: Drive,
     n_in: usize,
     n_out: usize,
-    /// Per-layer carried state (`trace_out`, `drive`; `trace_in` for the
-    /// dense adaptive path).
+    /// Per-layer carried state, including each layer's output spikes
+    /// from the last committed step (`fired`).
     layers: Vec<LayerScratch>,
-    /// Sparse mode: each layer's own output spikes from the previous
-    /// committed step.
-    prev_fired: Vec<Vec<usize>>,
-    /// Sparse mode: the current step's output spikes, swapped into
-    /// `prev_fired` at the end of each step.
-    new_fired: Vec<Vec<usize>>,
-    /// Dense mode: each layer's output row from the previous step.
-    rows_prev: Vec<Vec<f32>>,
-    /// Dense mode: the current step's output rows.
-    rows_new: Vec<Vec<f32>>,
-    /// Dense mode: staged 0/1 input row for the current step.
-    dense_in: Vec<f32>,
     /// Output spike counts accumulated over all committed steps, in the
     /// same order as `Forward::spike_counts_into`.
     counts: Vec<f32>,
@@ -164,37 +157,23 @@ impl StreamSession {
     /// [`Engine::stream_session`].
     pub fn new(engine: &Engine) -> Self {
         let engine = engine.clone();
-        let mode = engine.backend().stream_mode();
         let net = engine.network();
-        let n_in = net.n_in();
-        let n_out = net.n_out();
-        let n_layers = net.layers().len();
-        let mut layers = Vec::with_capacity(n_layers);
-        let mut rows = Vec::with_capacity(n_layers);
-        for layer in net.layers() {
-            let mut scratch = LayerScratch::default();
-            scratch.ensure(layer.n_in(), layer.n_out());
-            layers.push(scratch);
-            rows.push(vec![0.0; layer.n_out()]);
-        }
-        Self {
-            mode,
-            n_in,
-            n_out,
-            layers,
-            prev_fired: vec![Vec::new(); n_layers],
-            new_fired: vec![Vec::new(); n_layers],
-            rows_prev: rows.clone(),
-            rows_new: rows,
-            dense_in: vec![0.0; n_in],
-            counts: vec![0.0; n_out],
+        let mut session = Self {
+            drive: engine.backend().drive(),
+            n_in: net.n_in(),
+            n_out: net.n_out(),
+            layers: vec![LayerScratch::default(); net.layers().len()],
+            counts: vec![0.0; net.n_out()],
             committed: 0,
             cursor: 0,
             pending: VecDeque::new(),
             spare: Vec::new(),
             max_pending: DEFAULT_MAX_PENDING,
             engine,
-        }
+        };
+        // Sizes and zeroes the per-layer state.
+        session.reset();
+        session
     }
 
     /// Sets the pending-step horizon (events may be buffered at most
@@ -310,9 +289,15 @@ impl StreamSession {
             let mut chans = self.pending.pop_front().unwrap_or_default();
             chans.sort_unstable();
             chans.dedup();
-            match self.mode {
-                StreamMode::Sparse => self.step_sparse(net, &chans),
-                StreamMode::Dense => self.step_dense(net, &chans),
+            // Layer `l` reads the spikes layer `l − 1` fired this step.
+            for (l, layer) in net.layers().iter().enumerate() {
+                let (below, rest) = self.layers.split_at_mut(l);
+                let input = below.last().map_or(&chans[..], |s| &s.fired);
+                layer.step(self.drive, input, &mut rest[0]);
+            }
+            let top = self.layers.last().expect("empty network");
+            for &c in &top.fired {
+                self.counts[c] += 1.0;
             }
             self.committed += 1;
             self.recycle(chans);
@@ -338,13 +323,6 @@ impl StreamSession {
         for (scratch, layer) in self.layers.iter_mut().zip(net.layers()) {
             scratch.ensure(layer.n_in(), layer.n_out());
         }
-        for list in self.prev_fired.iter_mut().chain(self.new_fired.iter_mut()) {
-            list.clear();
-        }
-        for row in self.rows_prev.iter_mut().chain(self.rows_new.iter_mut()) {
-            row.fill(0.0);
-        }
-        self.dense_in.fill(0.0);
         self.counts.fill(0.0);
         self.committed = 0;
         self.cursor = 0;
@@ -363,39 +341,6 @@ impl StreamSession {
             chans.clear();
             self.spare.push(chans);
         }
-    }
-
-    fn step_sparse(&mut self, net: &crate::Network, chans: &[usize]) {
-        let n_layers = net.layers().len();
-        for (l, layer) in net.layers().iter().enumerate() {
-            let (head, tail) = self.new_fired.split_at_mut(l);
-            let input: &[usize] = if l == 0 { chans } else { &head[l - 1] };
-            layer.step_events(
-                input,
-                &self.prev_fired[l],
-                &mut self.layers[l],
-                &mut tail[0],
-            );
-        }
-        for &c in &self.new_fired[n_layers - 1] {
-            self.counts[c] += 1.0;
-        }
-        std::mem::swap(&mut self.prev_fired, &mut self.new_fired);
-    }
-
-    fn step_dense(&mut self, net: &crate::Network, chans: &[usize]) {
-        self.dense_in.fill(0.0);
-        for &c in chans {
-            self.dense_in[c] = 1.0;
-        }
-        let n_layers = net.layers().len();
-        for (l, layer) in net.layers().iter().enumerate() {
-            let (head, tail) = self.rows_new.split_at_mut(l);
-            let input: &[f32] = if l == 0 { &self.dense_in } else { &head[l - 1] };
-            layer.step_dense(input, &self.rows_prev[l], &mut self.layers[l], &mut tail[0]);
-        }
-        kernels::add_assign(&self.rows_new[n_layers - 1], &mut self.counts);
-        std::mem::swap(&mut self.rows_prev, &mut self.rows_new);
     }
 }
 
@@ -431,7 +376,11 @@ mod tests {
 
     fn engines() -> Vec<Engine> {
         let mut out = Vec::new();
-        for kind in [NeuronKind::Adaptive, NeuronKind::HardReset] {
+        for kind in [
+            NeuronKind::Adaptive,
+            NeuronKind::HardReset,
+            NeuronKind::HardResetMatched,
+        ] {
             out.push(Engine::from_network(net(kind)).build());
             out.push(
                 Engine::from_network(net(kind))

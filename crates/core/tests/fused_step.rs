@@ -9,7 +9,9 @@
 //! grid, and randomized sequence lengths — plus scalar-fallback vs
 //! lane-path agreement and repeated-run determinism.
 
-use snn_core::{ActiveIndices, DenseLayer, LayerRecord, LayerScratch, NeuronKind, SpikeRaster};
+use snn_core::{
+    ActiveIndices, DenseLayer, LayerRecord, LayerScratch, Network, NeuronKind, SpikeRaster,
+};
 use snn_neuron::NeuronParams;
 use snn_tensor::{kernels, Matrix, Rng};
 
@@ -244,4 +246,90 @@ fn repeated_rollouts_are_bitwise_deterministic() {
             }
         }
     }
+}
+
+/// Dense reference rollout of one layer, written out: a `decay_axpy`
+/// synapse trace, a full `matvec_into` product, and a reset trace that
+/// is only scaled at `t = 0` and charged with the previous output row
+/// after. This pins `Network::forward_dense_reference` to that
+/// arithmetic bit for bit, however the crate structures its timestep.
+fn dense_reference_layer(layer: &DenseLayer, input: &Matrix) -> LayerRecord {
+    let (t_steps, n_in, n_out) = (input.rows(), layer.n_in(), layer.n_out());
+    let p = layer.params();
+    let (alpha, beta) = (p.synapse_decay(), p.reset_decay());
+    let gain = layer.kind().input_gain(&p);
+    let adaptive = layer.kind() == NeuronKind::Adaptive;
+    let mut rec = LayerRecord::empty();
+    rec.resize_zeroed(t_steps, n_in, n_out);
+    let mut k = vec![0.0f32; n_in];
+    // `h`: the reset trace (adaptive) or the membrane (hard reset).
+    let (mut h, mut drive) = (vec![0.0f32; n_out], vec![0.0f32; n_out]);
+    for t in 0..t_steps {
+        if adaptive {
+            kernels::decay_axpy(1.0, input.row(t), alpha, &mut k);
+            rec.pre.row_mut(t).copy_from_slice(&k);
+            layer.weights().matvec_into(&k, &mut drive);
+            if t > 0 {
+                let prev = rec.o.row(t - 1).to_vec();
+                kernels::decay_axpy(1.0, &prev, beta, &mut h);
+            } else {
+                kernels::scale(beta, &mut h);
+            }
+        } else {
+            rec.pre.row_mut(t).copy_from_slice(input.row(t));
+            layer.weights().matvec_into(input.row(t), &mut drive);
+        }
+        for i in 0..n_out {
+            let vi = if adaptive {
+                drive[i] - p.theta * h[i]
+            } else {
+                alpha * h[i] + gain * drive[i]
+            };
+            let fire = vi >= p.v_th;
+            rec.v.row_mut(t)[i] = vi;
+            rec.o.row_mut(t)[i] = if fire { 1.0 } else { 0.0 };
+            if !adaptive {
+                h[i] = if fire { 0.0 } else { vi };
+            }
+        }
+    }
+    rec
+}
+
+#[test]
+fn dense_reference_is_pinned_bitwise() {
+    let mut rng = Rng::seed_from(5150);
+    let mut spikes = 0usize;
+    for kind in KINDS {
+        for density in [0.05f32, 0.3] {
+            let t_steps = 4 + rng.below(30);
+            let net = Network::mlp(
+                &[37, 23, 11],
+                kind,
+                NeuronParams::paper_defaults().with_v_th(0.4),
+                &mut rng,
+            );
+            let mut raster = SpikeRaster::zeros(t_steps, 37);
+            for t in 0..t_steps {
+                for c in 0..37 {
+                    if rng.coin(density) {
+                        raster.set(t, c, true);
+                    }
+                }
+            }
+            let fwd = net.forward_dense_reference(&raster);
+            let mut x = Matrix::from_vec(t_steps, 37, raster.as_slice().to_vec());
+            for (l, layer) in net.layers().iter().enumerate() {
+                let want = dense_reference_layer(layer, &x);
+                let got = &fwd.records[l];
+                let ctx = format!("{kind:?} density {density} T {t_steps} layer {l}");
+                assert_bitwise_eq(&got.pre, &want.pre, "pre", &ctx);
+                assert_bitwise_eq(&got.v, &want.v, "v", &ctx);
+                assert_bitwise_eq(&got.o, &want.o, "o", &ctx);
+                spikes += want.o.as_slice().iter().filter(|&&o| o != 0.0).count();
+                x = want.o;
+            }
+        }
+    }
+    assert!(spikes > 0, "the pinned rollouts must fire");
 }

@@ -6,11 +6,10 @@
 //! so the same model must answer queries from the event-driven software
 //! kernels, from the dense reference implementation, and from a
 //! simulated RRAM crossbar deployment. This crate re-exports the core
-//! engine ([`Engine`], [`Session`], [`InferenceBackend`],
-//! [`SparseBackend`], [`DenseBackend`]) and adds the third backend:
-//! [`HardwareBackend`], a quantized, variation-perturbed
-//! [`Deployment`] behind the same
-//! trait.
+//! engine ([`Engine`], [`Session`], [`InferenceBackend`] — implemented
+//! by the bare [`Network`] and by [`DenseBackend`]) and adds the third
+//! backend: [`HardwareBackend`], a quantized, variation-perturbed
+//! [`Deployment`] behind the same trait.
 //!
 //! Every backend routes inference through the core forward kernels,
 //! which carry `snn-obs` flight-recorder hooks: when a caller installs
@@ -54,10 +53,10 @@
 pub use snn_core::checkpoint::{self, CheckpointError};
 pub use snn_core::engine::{
     classify_batch_with, evaluate_with, Backend, BackendFactory, DenseBackend, Engine,
-    EngineBuilder, InferenceBackend, PooledSession, Session, SessionPool, SparseBackend,
-    StreamMode, BATCH_CHUNK,
+    EngineBuilder, InferenceBackend, PooledSession, Session, SessionPool, BATCH_CHUNK,
 };
 pub use snn_core::stream::{StreamError, StreamSession};
+pub use snn_core::Drive;
 pub use snn_hardware::deploy::{deploy, DeployConfig, Deployment};
 
 use snn_core::{Forward, Network, ScratchSpace, SpikeRaster};
@@ -69,7 +68,7 @@ use std::sync::Arc;
 /// the crossbars' *effective* weights.
 ///
 /// The deployment happens once at construction; inference afterwards is
-/// the same allocation-free event-driven path as [`SparseBackend`], so
+/// the same allocation-free event-driven path as the bare [`Network`], so
 /// software/hardware accuracy comparisons measure the non-idealities,
 /// not a different compute path.
 #[derive(Debug, Clone)]

@@ -12,6 +12,11 @@ use snn_neuron::NeuronParams;
 use snn_tensor::Rng;
 
 const STEPS: usize = 14;
+const KINDS: [NeuronKind; 3] = [
+    NeuronKind::Adaptive,
+    NeuronKind::HardReset,
+    NeuronKind::HardResetMatched,
+];
 const CHANNELS: usize = 6;
 
 fn net(kind: NeuronKind) -> Network {
@@ -69,9 +74,9 @@ proptest! {
     fn interleaved_feed_advance_is_bitwise_identical(
         r in raster_strategy(),
         actions in proptest::collection::vec(any::<u8>(), 0..80),
-        adaptive in any::<bool>(),
+        kind in 0usize..3,
     ) {
-        let kind = if adaptive { NeuronKind::Adaptive } else { NeuronKind::HardReset };
+        let kind = KINDS[kind];
         for engine in engines(kind) {
             let events = r.events();
             let mut stream = engine.stream_session();
@@ -110,9 +115,9 @@ proptest! {
     fn chunked_delta_feed_is_bitwise_identical(
         r in raster_strategy(),
         cuts in proptest::collection::vec(any::<u16>(), 0..5),
-        adaptive in any::<bool>(),
+        kind in 0usize..3,
     ) {
-        let kind = if adaptive { NeuronKind::Adaptive } else { NeuronKind::HardReset };
+        let kind = KINDS[kind];
         let deltas = r.delta_events();
         let mut bounds: Vec<usize> = cuts
             .iter()

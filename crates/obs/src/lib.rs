@@ -568,9 +568,21 @@ pub fn pack_density_payload(rows: usize, ppm: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
+
+    /// Serialises the tests that record: [`set_enabled`] is
+    /// process-wide, so one test switching recording off must not
+    /// disarm the spans of another running beside it.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn guard_records_span_with_context() {
+        let _serial = serial();
         let trace = next_trace_id();
         let root_id;
         {
@@ -597,6 +609,7 @@ mod tests {
 
     #[test]
     fn disabled_and_contextless_guards_record_nothing() {
+        let _serial = serial();
         let trace = next_trace_id();
         {
             let g = span("no_context_span"); // no ambient context
@@ -614,6 +627,7 @@ mod tests {
 
     #[test]
     fn cross_thread_parts_merge_into_one_trace() {
+        let _serial = serial();
         let trace = next_trace_id();
         let span_id = next_span_id();
         record_span_parts(trace, span_id, 0, "parts_root", 10, 90, 3);
@@ -632,6 +646,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_when_full() {
+        let _serial = serial();
         // Rings in this test binary may already exist at default
         // capacity; record enough spans to wrap regardless.
         let early = next_trace_id();

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -41,6 +41,17 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Serialises the tests of this binary. `set_enabled` is process-wide,
+/// so a test that switches recording off must not overlap one that
+/// warms a ring: a disarmed warm-up span would leave the ring to be
+/// allocated inside the measured loop.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Warm this thread (ring registration + name interning), then record
@@ -80,11 +91,13 @@ fn record_spans_alloc_free(trace: u64, spans: usize) {
 
 #[test]
 fn single_thread_hot_path_is_allocation_free() {
+    let _serial = serial();
     record_spans_alloc_free(snn_obs::next_trace_id(), 10_000);
 }
 
 #[test]
 fn concurrent_recording_is_allocation_free_and_never_blocks() {
+    let _serial = serial();
     for threads in [1usize, 2, 4] {
         let trace = snn_obs::next_trace_id();
         // Waiters: `threads` writers, the reader, and this thread.
@@ -92,13 +105,15 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
         let stop = AtomicBool::new(false);
         let recorded = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    barrier.wait();
-                    record_spans_alloc_free(trace, 20_000);
-                    recorded.fetch_add(20_000, Ordering::Relaxed);
-                });
-            }
+            let writers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        record_spans_alloc_free(trace, 20_000);
+                        recorded.fetch_add(20_000, Ordering::Relaxed);
+                    })
+                })
+                .collect();
             // A concurrent reader hammering snapshots must not stall
             // the writers (seqlock readers never block writers); it
             // stops once every writer is done.
@@ -113,11 +128,16 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
             });
             barrier.wait();
             // Writers finish on their own; a deadlock would hang the
-            // test harness (CI timeout), which is the assertion.
-            while recorded.load(Ordering::Relaxed) < (threads as u64) * 20_000 {
-                std::thread::yield_now();
-            }
+            // test harness (CI timeout), which is the assertion. A
+            // writer that fails its allocation check is a failure, so
+            // the reader is stopped before the panic is passed on.
+            let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
             stop.store(true, Ordering::Relaxed);
+            for outcome in outcomes {
+                if let Err(panic) = outcome {
+                    std::panic::resume_unwind(panic);
+                }
+            }
             assert!(reader.join().unwrap() > 0, "reader made progress");
         });
         // All writers progressed to completion under contention.
@@ -130,6 +150,7 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
 
 #[test]
 fn disabled_span_is_allocation_free_without_warmup() {
+    let _serial = serial();
     snn_obs::set_enabled(false);
     let before = allocations();
     for _ in 0..10_000 {

@@ -71,17 +71,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     lanes::axpy(alpha, x, y);
 }
 
-/// `y += x`, laned (the `alpha = 1` axpy, kept separate so the hot
-/// column-accumulation loop has no multiply).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn add_assign(x: &[f32], y: &mut [f32]) {
-    lanes::add_assign(x, y);
-}
-
 /// `x *= alpha`, laned (leaky-integrator decay step).
 #[inline]
 pub fn scale(alpha: f32, x: &mut [f32]) {
@@ -489,7 +478,7 @@ mod tests {
             for (a, b) in y1.iter().zip(&y2) {
                 assert!((a - b).abs() < 1e-6);
             }
-            add_assign(&x, &mut y3);
+            lanes::add_assign(&x, &mut y3);
             for ((a, b), x) in y3.iter().zip(&y2).zip(&x) {
                 assert!((a - (b - 0.5 * x + x)).abs() < 1e-5);
             }
@@ -614,7 +603,7 @@ mod tests {
         // Unfused reference: per-column full passes (the old two-pass
         // loop shape). Same per-element op order, so bitwise-equal.
         for &c in &active {
-            add_assign(cm.column(c), &mut y_ref);
+            lanes::add_assign(cm.column(c), &mut y_ref);
         }
         for (a, b) in y_fused.iter().zip(&y_ref) {
             assert_eq!(a.to_bits(), b.to_bits());

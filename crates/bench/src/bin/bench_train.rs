@@ -7,8 +7,8 @@
 //! one multi-epoch experiment per backward-pass policy from the same
 //! seed, data and initial weights:
 //!
-//! * `dense` — the dense `backward_into` kernel (wall-clock baseline),
-//! * `exact` — event-driven, ε = 0 (bitwise-identical to dense),
+//! * `exact` — event-driven, ε = 0 (bitwise-identical to the dense
+//!   `backward_into` reference; the accuracy and wall-clock baseline),
 //! * `eps_1e-6`, `eps_1e-4`, `eps_1e-3` — fixed thresholds,
 //! * `auto` — loss-scale-relative pruning (the trainer default).
 //!
@@ -16,7 +16,7 @@
 //! (streaming mini-batch epochs, LR schedule, early stopping on a
 //! validation plateau, best-checkpoint restore), and the harness
 //! asserts that `auto`'s end-task accuracy lands within `--tolerance`
-//! of the dense baseline on every workload — the accuracy-neutrality
+//! of the exact baseline on every workload — the accuracy-neutrality
 //! evidence recorded in `BENCH_train.json`.
 //!
 //! Usage:
@@ -28,7 +28,7 @@
 //! ```
 //!
 //! `--smoke` is the CI mode: reduced configs (`::small`-scale), few
-//! epochs, policies `{dense, exact, auto}` only, asserting that
+//! epochs, policies `{exact, auto}` only, asserting that
 //! training beats chance and that `auto` matches `exact` within the
 //! tolerance.
 
@@ -49,60 +49,39 @@ use snn_tensor::Rng;
 struct Policy {
     name: &'static str,
     sparsity: SparsityPolicy,
-    dense_backward: bool,
 }
 
-const DENSE: Policy = Policy {
-    name: "dense",
+const EXACT: Policy = Policy {
+    name: "exact",
     sparsity: SparsityPolicy::Exact,
-    dense_backward: true,
+};
+
+const AUTO: Policy = Policy {
+    name: "auto",
+    sparsity: SparsityPolicy::Auto,
 };
 
 fn full_grid() -> Vec<Policy> {
     vec![
-        DENSE,
-        Policy {
-            name: "exact",
-            sparsity: SparsityPolicy::Exact,
-            dense_backward: false,
-        },
+        EXACT,
         Policy {
             name: "eps_1e-6",
             sparsity: SparsityPolicy::Thresholded(1e-6),
-            dense_backward: false,
         },
         Policy {
             name: "eps_1e-4",
             sparsity: SparsityPolicy::Thresholded(1e-4),
-            dense_backward: false,
         },
         Policy {
             name: "eps_1e-3",
             sparsity: SparsityPolicy::Thresholded(1e-3),
-            dense_backward: false,
         },
-        Policy {
-            name: "auto",
-            sparsity: SparsityPolicy::Auto,
-            dense_backward: false,
-        },
+        AUTO,
     ]
 }
 
 fn smoke_grid() -> Vec<Policy> {
-    vec![
-        DENSE,
-        Policy {
-            name: "exact",
-            sparsity: SparsityPolicy::Exact,
-            dense_backward: false,
-        },
-        Policy {
-            name: "auto",
-            sparsity: SparsityPolicy::Auto,
-            dense_backward: false,
-        },
-    ]
+    vec![EXACT, AUTO]
 }
 
 /// A dataset plus the experiment dimensions derived from it.
@@ -223,16 +202,13 @@ fn run_cell(
         NeuronParams::paper_defaults().with_v_th(0.5),
         &mut rng,
     );
-    let mut trainer_config = TrainerConfig {
+    let trainer_config = TrainerConfig {
         batch_size: batch,
         optimizer: Optimizer::adamw(1e-3, 0.0),
         ..TrainerConfig::default()
     }
     .with_threads(threads)
     .with_sparsity(policy.sparsity);
-    if policy.dense_backward {
-        trainer_config = trainer_config.with_dense_backward();
-    }
     // Each cell leaves a JSONL provenance manifest (config, host, per-
     // epoch metrics); its path is embedded in `BENCH_train.json`.
     let manifest = std::env::temp_dir().join(format!(
@@ -372,7 +348,7 @@ fn main() {
                 .map(|c| c.test_accuracy)
                 .expect("policy in grid")
         };
-        let baseline = acc("dense");
+        let exact = acc("exact");
         let auto = acc("auto");
         // Training must beat chance under every policy, otherwise the
         // accuracy comparison has no detection power.
@@ -384,20 +360,11 @@ fn main() {
                 ));
             }
         }
-        if (auto - baseline).abs() > tolerance {
+        if (auto - exact).abs() > tolerance {
             failures.push(format!(
-                "{}: auto accuracy {:.3} drifted from dense {:.3} (tolerance {})",
-                workload.name, auto, baseline, tolerance
+                "{}: auto accuracy {:.3} drifted from exact {:.3} (tolerance {})",
+                workload.name, auto, exact, tolerance
             ));
-        }
-        if smoke {
-            let exact = acc("exact");
-            if (auto - exact).abs() > tolerance {
-                failures.push(format!(
-                    "{}: auto accuracy {:.3} drifted from exact {:.3} (tolerance {})",
-                    workload.name, auto, exact, tolerance
-                ));
-            }
         }
 
         workload_json.push(Json::obj(vec![
@@ -407,7 +374,7 @@ fn main() {
             ("train_samples", Json::from(workload.split.train.len())),
             ("test_samples", Json::from(workload.split.test.len())),
             ("chance_accuracy", Json::from(chance)),
-            ("auto_minus_dense", Json::from(auto - baseline)),
+            ("auto_minus_exact", Json::from(auto - exact)),
             ("policies", Json::Arr(cells.iter().map(cell_json).collect())),
         ]));
     }
@@ -445,7 +412,7 @@ fn main() {
         failures.join("\n  ")
     );
     println!(
-        "OK: auto within {tolerance} of the dense baseline on all {} workloads",
+        "OK: auto within {tolerance} of the exact baseline on all {} workloads",
         workloads.len()
     );
 }

@@ -148,7 +148,8 @@ impl ScratchSpace {
     /// [`backward_sparse_into`](crate::train::backward_sparse_into)
     /// call: its [`GradRaster::density`] is the "how sparse was the
     /// backward pass?" diagnostic the kernel bench reports. Empty until
-    /// a sparse backward pass has run with this scratch.
+    /// a sparse backward pass has run with this scratch, and again after
+    /// a dense [`backward_into`](crate::train::backward_into).
     pub fn backward_events(&self) -> &GradRaster {
         &self.grad_events
     }

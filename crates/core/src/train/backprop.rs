@@ -21,9 +21,14 @@
 //!
 //! The input adjoint `dx` (the `Wᵀ·dv` projection and the `dk` carry)
 //! is formed only for layers with a layer below to read it: the bottom
-//! layer's input is the data raster, so both passes skip that work for
+//! layer's input is the data raster, so the pass skips that work for
 //! layer 0. `dW` never reads `dk` or `dx`, so the weight gradients are
 //! unchanged bit for bit.
+//!
+//! One recursion serves both entry points: the dense reference
+//! [`backward_into`] and the event-driven [`backward_sparse_into`],
+//! which prunes `dv` into error events per [`SparsityPolicy`]. With
+//! [`SparsityPolicy::Exact`] the two agree bitwise by construction.
 
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
@@ -46,8 +51,9 @@ use snn_tensor::{kernels, Matrix};
 pub enum SparsityPolicy {
     /// `ε = 0`: only exact zeros are skipped, which the dense kernels
     /// do anyway — gradients are **bit-identical** to
-    /// [`backward_into`] (property-tested), the pass just routes the
-    /// surviving rows through the indexed kernels.
+    /// [`backward_into`], the same recursion with pruning off; this
+    /// policy only routes the surviving rows through the indexed
+    /// kernels and records them as events.
     Exact,
     /// Fixed absolute threshold on `|dv|`. The gradient error it
     /// introduces is bounded by `ε` times the pruned volume (see the
@@ -215,6 +221,11 @@ pub fn backward(
 /// accumulation order a pure function of sample order — the property the
 /// deterministic parallel trainer relies on.
 ///
+/// This is the dense reference of the one BPTT recursion: nothing is
+/// pruned, no error events are recorded
+/// ([`ScratchSpace::backward_events`](crate::ScratchSpace::backward_events)
+/// reads empty afterwards) and every step runs the dense kernels.
+///
 /// # Panics
 ///
 /// Panics if `d_output`'s shape does not match the output layer record,
@@ -227,145 +238,7 @@ pub fn backward_into(
     grads: &mut Gradients,
     scratch: &mut ScratchSpace,
 ) {
-    let layers = net.layers();
-    assert_eq!(
-        fwd.records.len(),
-        layers.len(),
-        "forward/record layer mismatch"
-    );
-    assert_eq!(
-        grads.per_layer.len(),
-        layers.len(),
-        "gradient/layer count mismatch"
-    );
-    let top = fwd.records.last().expect("empty network");
-    assert_eq!(
-        d_output.shape(),
-        top.o.shape(),
-        "d_output shape {:?} != output shape {:?}",
-        d_output.shape(),
-        top.o.shape()
-    );
-    for (g, layer) in grads.per_layer.iter().zip(layers) {
-        assert_eq!(
-            g.shape(),
-            (layer.n_out(), layer.n_in()),
-            "gradient shape mismatch"
-        );
-    }
-    scratch.ensure(net);
-    // The dense pass records no error events; clear the raster so
-    // [`ScratchSpace::backward_events`] never reports a *previous*
-    // sample's sparse pass as this one's diagnostic.
-    scratch.grad_events.clear();
-
-    let ScratchSpace {
-        d_o,
-        d_pre,
-        dv,
-        dv_next,
-        dh_next,
-        dk_next,
-        wt_dv,
-        active_tmp,
-        ..
-    } = scratch;
-
-    d_o.resize_zeroed(d_output.rows(), d_output.cols());
-    d_o.as_mut_slice().copy_from_slice(d_output.as_slice());
-
-    for l in (0..layers.len()).rev() {
-        // Disarmed unless the caller installed an ambient trace context
-        // (see `snn_obs::with_trace`); records on drop at loop end.
-        let mut span = snn_obs::span(crate::network::layer_span_name(
-            l,
-            crate::network::LAYER_BACKWARD_NAMES,
-        ));
-        let layer = &layers[l];
-        let rec = &fwd.records[l];
-        let t_steps = rec.steps();
-        if span.is_armed() {
-            span.set_payload(t_steps as u64);
-        }
-        let (n_in, n_out) = (layer.n_in(), layer.n_out());
-        let params = layer.params();
-        let v_th = params.v_th;
-        let dw = &mut grads.per_layer[l];
-        // Only a layer below reads this layer's input adjoint.
-        let has_below = l > 0;
-        if has_below {
-            d_pre.resize_zeroed(t_steps, n_in);
-        }
-
-        match layer.kind() {
-            NeuronKind::Adaptive => {
-                let alpha = params.synapse_decay();
-                let beta = params.reset_decay();
-                let theta = params.theta;
-                let dh_next = &mut dh_next[..n_out];
-                let dk_next = &mut dk_next[..n_in];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
-                dh_next.fill(0.0);
-                dk_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        let d_o_total = ext[i] + dh_next[i];
-                        dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
-                    }
-                    // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned
-                    kernels::decay_axpy(-theta, dv, beta, dh_next);
-                    dw.add_outer(1.0, dv, rec.pre.row(t));
-                    if has_below {
-                        layer.weights().matvec_t_into(dv, wt_dv);
-                        // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
-                        // downstream adjoint row (same fused helper as the
-                        // sparse path — that identity keeps Exact == dense)
-                        kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
-                    }
-                }
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = params.synapse_decay();
-                let gain = layer.kind().input_gain(&params);
-                let dv_next = &mut dv_next[..n_out];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
-                dv_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let orow = rec.o.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
-                            + lambda * (1.0 - orow[i]) * dv_next[i];
-                    }
-                    // The presynaptic trace of a hard-reset layer is the
-                    // raw binary spike raster: use the index-list rank-1
-                    // update. The list is rebuilt from the record (an
-                    // O(n_in) scan, minor next to the O(nnz·n_out)
-                    // update) rather than read from scratch.active, so a
-                    // `Forward` from any source — including the dense
-                    // reference path — differentiates correctly.
-                    kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    dw.add_outer_indexed(gain, dv, active_tmp);
-                    if has_below {
-                        layer.weights().matvec_t_into(dv, wt_dv);
-                        // dx[t] = gain·(Wᵀ·dv), laned
-                        kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
-                    }
-                    dv_next.copy_from_slice(dv);
-                }
-            }
-        }
-        if has_below {
-            std::mem::swap(d_o, d_pre);
-        }
-    }
+    bptt(net, fwd, d_output, surrogate, None, grads, scratch);
 }
 
 /// Event-driven BPTT: like [`backward_into`], but each timestep's
@@ -399,6 +272,27 @@ pub fn backward_sparse_into(
     d_output: &Matrix,
     surrogate: Surrogate,
     policy: SparsityPolicy,
+    grads: &mut Gradients,
+    scratch: &mut ScratchSpace,
+) {
+    bptt(net, fwd, d_output, surrogate, Some(policy), grads, scratch);
+}
+
+/// The BPTT recursion behind [`backward_into`] (`prune = None`) and
+/// [`backward_sparse_into`] (`Some(policy)`). Inlined into both, so in
+/// each entry point's copy `prune`'s variant is a constant.
+///
+/// Only three things per step depend on the mode: whether `dv` is
+/// pruned into recorded error events, how the adaptive `dh` carry folds
+/// `dv` in (one laned `decay_axpy` vs a decay plus the surviving
+/// events), and whether the step runs the dense or the indexed kernels.
+#[inline(always)]
+fn bptt(
+    net: &Network,
+    fwd: &Forward,
+    d_output: &Matrix,
+    surrogate: Surrogate,
+    prune: Option<SparsityPolicy>,
     grads: &mut Gradients,
     scratch: &mut ScratchSpace,
 ) {
@@ -442,12 +336,17 @@ pub fn backward_sparse_into(
         grad_events,
         ..
     } = scratch;
+    // Cleared on the dense path too, so
+    // [`ScratchSpace::backward_events`] never reports a *previous*
+    // sample's pruning as this one's diagnostic.
     grad_events.clear();
 
     d_o.resize_zeroed(d_output.rows(), d_output.cols());
     d_o.as_mut_slice().copy_from_slice(d_output.as_slice());
 
     for l in (0..layers.len()).rev() {
+        // Disarmed unless the caller installed an ambient trace context
+        // (see `snn_obs::with_trace`); records on drop at loop end.
         let mut span = snn_obs::span(crate::network::layer_span_name(
             l,
             crate::network::LAYER_BACKWARD_NAMES,
@@ -467,7 +366,8 @@ pub fn backward_sparse_into(
         // adjoint ∂E/∂O_l (the loss gradient for the top layer), so
         // `Auto` tracks the adjoint scale as it attenuates down the
         // stack.
-        let eps = policy.resolve_eps(d_o);
+        let eps = prune.map(|p| p.resolve_eps(d_o));
+        // Only a layer below reads this layer's input adjoint.
         let has_below = l > 0;
         if has_below {
             d_pre.resize_zeroed(t_steps, n_in);
@@ -492,25 +392,29 @@ pub fn backward_sparse_into(
                         let d_o_total = ext[i] + dh_next[i];
                         dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
                     }
-                    let active = grad_events.push_step_pruned(dv, eps);
-                    // Decay every carry, then fold in the surviving
-                    // events; addition is commutative, so the surviving
-                    // entries match the dense update bitwise.
-                    kernels::scale(beta, dh_next);
-                    for &i in active {
-                        dh_next[i] += -theta * dv[i];
+                    let active = eps.map(|e| grad_events.push_step_pruned(dv, e));
+                    match active {
+                        // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned
+                        None => kernels::decay_axpy(-theta, dv, beta, dh_next),
+                        // Decay every carry, then fold in the surviving
+                        // events; addition is commutative, so the
+                        // surviving entries match the dense update bitwise.
+                        Some(active) => {
+                            kernels::scale(beta, dh_next);
+                            for &i in active {
+                                dh_next[i] += -theta * dv[i];
+                            }
+                        }
                     }
-                    let dense_step = active.len() > dense_cutoff;
-                    if dense_step {
-                        dw.add_outer(1.0, dv, rec.pre.row(t));
-                    } else {
-                        dw.add_outer_indexed_rows(1.0, dv, active, rec.pre.row(t));
+                    let rows = active.filter(|a| a.len() <= dense_cutoff);
+                    match rows {
+                        None => dw.add_outer(1.0, dv, rec.pre.row(t)),
+                        Some(rows) => dw.add_outer_indexed_rows(1.0, dv, rows, rec.pre.row(t)),
                     }
                     if has_below {
-                        project_t(layer.weights(), dv, active, dense_step, wt_dv);
-                        // Same fused carry helper as `backward_into` — the
-                        // per-element ops are identical, which is what keeps
-                        // the Exact policy bitwise-equal to dense.
+                        project_t(layer.weights(), dv, rows, wt_dv);
+                        // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
+                        // downstream adjoint row
                         kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
                     }
                 }
@@ -531,21 +435,24 @@ pub fn backward_sparse_into(
                         dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
                             + lambda * (1.0 - orow[i]) * dv_next[i];
                     }
-                    let active = grad_events.push_step_pruned(dv, eps);
-                    // Spike-column list rebuilt from the record, exactly
-                    // as in `backward_into` (works for a `Forward` from
-                    // any source).
+                    let rows = eps
+                        .map(|e| grad_events.push_step_pruned(dv, e))
+                        .filter(|a| a.len() <= dense_cutoff);
+                    // The presynaptic trace of a hard-reset layer is the
+                    // raw binary spike raster: use the index-list rank-1
+                    // update. The list is rebuilt from the record (an
+                    // O(n_in) scan, minor next to the O(nnz·n_out)
+                    // update) rather than read from scratch.active, so a
+                    // `Forward` from any source — including the dense
+                    // reference path — differentiates correctly.
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    let dense_step = active.len() > dense_cutoff;
-                    if dense_step {
-                        dw.add_outer_indexed(gain, dv, active_tmp);
-                    } else {
-                        dw.add_outer_indexed_pairs(gain, dv, active, active_tmp);
+                    match rows {
+                        None => dw.add_outer_indexed(gain, dv, active_tmp),
+                        Some(rows) => dw.add_outer_indexed_pairs(gain, dv, rows, active_tmp),
                     }
                     if has_below {
-                        project_t(layer.weights(), dv, active, dense_step, wt_dv);
-                        // dx[t] = gain·(Wᵀ·dv), same laned helper as the
-                        // dense path
+                        project_t(layer.weights(), dv, rows, wt_dv);
+                        // dx[t] = gain·(Wᵀ·dv), laned
                         kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
                     }
                     // Only surviving events propagate through the
@@ -560,14 +467,13 @@ pub fn backward_sparse_into(
     }
 }
 
-/// `wt_dv = Wᵀ·dv` for one step of [`backward_sparse_into`]: over the
-/// surviving `active` rows, or over all of `dv` when the step fell back
-/// to the dense kernels (pruned entries are exact zeros either way).
-fn project_t(w: &Matrix, dv: &[f32], active: &[usize], dense_step: bool, wt_dv: &mut [f32]) {
-    if dense_step {
-        w.matvec_t_into(dv, wt_dv);
-    } else {
-        w.matvec_t_into_indexed(dv, active, wt_dv);
+/// `wt_dv = Wᵀ·dv` for one step of [`bptt`]: over the surviving event
+/// `rows`, or over all of `dv` on a dense step (pruned entries are
+/// exact zeros either way).
+fn project_t(w: &Matrix, dv: &[f32], rows: Option<&[usize]>, wt_dv: &mut [f32]) {
+    match rows {
+        None => w.matvec_t_into(dv, wt_dv),
+        Some(rows) => w.matvec_t_into_indexed(dv, rows, wt_dv),
     }
 }
 
@@ -921,8 +827,18 @@ mod tests {
             let fwd = net.forward(&input);
             let d_out = Matrix::full(14, 3, 0.4);
             let sur = Surrogate::paper_default();
-            let dense = backward(&net, &fwd, &d_out, sur);
-            let sparse = backward_sparse(&net, &fwd, &d_out, sur, SparsityPolicy::Exact);
+            // One scratch for both passes, sparse first: the dense pass
+            // must clear the events the sparse pass left behind.
+            let mut scratch = ScratchSpace::new();
+            let mut sparse = Gradients::zeros_like(&net);
+            let policy = SparsityPolicy::Exact;
+            backward_sparse_into(&net, &fwd, &d_out, sur, policy, &mut sparse, &mut scratch);
+            assert!(scratch.backward_events().nnz() > 0, "{kind:?}: no events");
+            let mut dense = Gradients::zeros_like(&net);
+            backward_into(&net, &fwd, &d_out, sur, &mut dense, &mut scratch);
+            let events = scratch.backward_events();
+            assert_eq!(events.nnz(), 0, "{kind:?}: stale events after dense");
+            assert_eq!(events.candidates(), 0, "{kind:?}: stale candidates");
             for (l, (a, b)) in dense.per_layer.iter().zip(&sparse.per_layer).enumerate() {
                 assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} layer {l}");
             }

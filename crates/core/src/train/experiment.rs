@@ -244,7 +244,6 @@ impl ManifestWriter {
                 "surrogate",
                 Json::from(format!("{:?}", trainer_config.surrogate).as_str()),
             ),
-            ("dense_backward", Json::from(trainer_config.dense_backward)),
             ("train_samples", Json::from(train_samples)),
             ("test_samples", Json::from(test_samples)),
             (
@@ -506,7 +505,7 @@ pub fn run_classification<L: ClassificationLoss + Sync>(
             best_epoch = epoch;
             best_json = checkpoint::to_json(net)?;
             if let Some(path) = &cfg.checkpoint_path {
-                std::fs::write(path, &best_json)?;
+                checkpoint::save(net, path)?;
             }
         }
         if let Some(stop) = cfg.early_stop {
@@ -720,6 +719,10 @@ mod tests {
         .unwrap();
         assert!(!first.resumed, "no file existed yet");
         assert!(path.exists(), "best checkpoint persisted");
+        // Written through `checkpoint::save`: sealed with a verified
+        // integrity trailer, not a bare legacy document.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(snn_json::integrity::verify(&text).unwrap().1, "unsealed");
 
         // The file holds the best weights: loading it reproduces the
         // best accuracy exactly.

@@ -16,8 +16,7 @@
 
 use crate::scratch::ScratchSpace;
 use crate::train::{
-    backward_into, backward_sparse_into, ClassificationLoss, Gradients, Optimizer, PatternLoss,
-    SparsityPolicy,
+    backward_sparse_into, ClassificationLoss, Gradients, Optimizer, PatternLoss, SparsityPolicy,
 };
 use crate::{Forward, Network, SpikeRaster};
 use snn_neuron::Surrogate;
@@ -53,12 +52,6 @@ pub struct TrainerConfig {
     /// the dense backward pass; every policy keeps epoch gradients
     /// bitwise identical across thread counts.
     pub sparsity: SparsityPolicy,
-    /// Route the backward pass through the dense [`backward_into`]
-    /// kernel, ignoring `sparsity`. This is the measurement baseline
-    /// for the `bench_train` policy grid (wall-clock comparisons need
-    /// the genuinely dense pass, not `Exact`'s indexed equivalent);
-    /// training results are the same as `Exact` bit-for-bit.
-    pub dense_backward: bool,
 }
 
 impl Default for TrainerConfig {
@@ -70,7 +63,6 @@ impl Default for TrainerConfig {
             optimizer: Optimizer::adamw(1e-4, 0.0),
             num_threads: 0,
             sparsity: SparsityPolicy::Auto,
-            dense_backward: false,
         }
     }
 }
@@ -100,14 +92,6 @@ impl TrainerConfig {
         self.sparsity = sparsity;
         self
     }
-
-    /// Returns a copy routed through the dense backward kernel (the
-    /// policy-grid measurement baseline; see
-    /// [`dense_backward`](Self::dense_backward)).
-    pub fn with_dense_backward(mut self) -> Self {
-        self.dense_backward = true;
-        self
-    }
 }
 
 /// Aggregate statistics for one pass over the data.
@@ -123,9 +107,8 @@ pub struct EpochStats {
     /// Fraction of examined backward adjoint entries that survived
     /// pruning, aggregated over every sample's
     /// [`GradRaster`](snn_tensor::GradRaster) diagnostic
-    /// (`Σ nnz / Σ candidates`). Reported as `1.0` when the epoch ran
-    /// the dense backward kernel (nothing is pruned) and `0.0` for an
-    /// empty epoch.
+    /// (`Σ nnz / Σ candidates`). Reported as `0.0` when no entry was
+    /// examined (an empty epoch, or every sample has zero timesteps).
     pub backward_event_density: f32,
 }
 
@@ -155,8 +138,7 @@ struct ChunkOutcome {
     /// Surviving backward error events (numerator of the epoch's
     /// [`EpochStats::backward_event_density`]).
     events_nnz: u64,
-    /// Examined backward adjoint entries (its denominator; 0 for dense
-    /// backward passes).
+    /// Examined backward adjoint entries (its denominator).
     events_candidates: u64,
 }
 
@@ -211,7 +193,6 @@ impl Trainer {
     ) -> EpochStats {
         let surrogate = self.config.surrogate;
         let sparsity = self.config.sparsity;
-        let dense = self.config.dense_backward;
         self.epoch_generic(
             net,
             data,
@@ -225,19 +206,15 @@ impl Trainer {
                 let pred = stats::argmax(&counts).unwrap_or(0);
                 let mut d_out = std::mem::take(&mut ctx.scratch.d_loss);
                 let l = loss.loss_and_grad_into(ctx.fwd.output(), *target, &mut d_out);
-                if dense {
-                    backward_into(net, &ctx.fwd, &d_out, surrogate, grads, &mut ctx.scratch);
-                } else {
-                    backward_sparse_into(
-                        net,
-                        &ctx.fwd,
-                        &d_out,
-                        surrogate,
-                        sparsity,
-                        grads,
-                        &mut ctx.scratch,
-                    );
-                }
+                backward_sparse_into(
+                    net,
+                    &ctx.fwd,
+                    &d_out,
+                    surrogate,
+                    sparsity,
+                    grads,
+                    &mut ctx.scratch,
+                );
                 ctx.scratch.d_loss = d_out;
                 (l, Some((pred, *target)))
             },
@@ -254,7 +231,6 @@ impl Trainer {
     ) -> EpochStats {
         let surrogate = self.config.surrogate;
         let sparsity = self.config.sparsity;
-        let dense = self.config.dense_backward;
         self.epoch_generic(
             net,
             data,
@@ -266,19 +242,15 @@ impl Trainer {
                 net.forward_into(input, &mut ctx.fwd, &mut ctx.scratch);
                 let mut d_out = std::mem::take(&mut ctx.scratch.d_loss);
                 let l = loss.loss_and_grad_into(ctx.fwd.output(), target, &mut d_out);
-                if dense {
-                    backward_into(net, &ctx.fwd, &d_out, surrogate, grads, &mut ctx.scratch);
-                } else {
-                    backward_sparse_into(
-                        net,
-                        &ctx.fwd,
-                        &d_out,
-                        surrogate,
-                        sparsity,
-                        grads,
-                        &mut ctx.scratch,
-                    );
-                }
+                backward_sparse_into(
+                    net,
+                    &ctx.fwd,
+                    &d_out,
+                    surrogate,
+                    sparsity,
+                    grads,
+                    &mut ctx.scratch,
+                );
                 ctx.scratch.d_loss = d_out;
                 (l, None)
             },
@@ -322,11 +294,8 @@ impl Trainer {
             samples: data.len(),
             backward_event_density: if events_candidates > 0 {
                 (events_nnz as f64 / events_candidates as f64) as f32
-            } else if data.is_empty() {
-                0.0
             } else {
-                // Dense backward: every adjoint entry participated.
-                1.0
+                0.0
             },
         }
     }
@@ -379,9 +348,8 @@ where
                 let (l, pred) = per_sample(sample, net, &mut ctx, &mut grads);
                 loss += l as f64;
                 preds.extend(pred);
-                // Both backward kernels reset the event raster, so this
-                // reads exactly this sample's pruning diagnostic (empty
-                // after a dense pass).
+                // The backward pass resets the event raster, so this
+                // reads exactly this sample's pruning diagnostic.
                 let events = ctx.scratch.backward_events();
                 events_nnz += events.nnz() as u64;
                 events_candidates += events.candidates() as u64;
@@ -734,7 +702,6 @@ mod tests {
         // matched the dense baseline within noise on paper-scale SHD
         // (both pair modes) and N-MNIST, closing the ROADMAP gate.
         assert_eq!(TrainerConfig::default().sparsity, SparsityPolicy::Auto);
-        assert!(!TrainerConfig::default().dense_backward);
     }
 
     #[test]
@@ -772,43 +739,23 @@ mod tests {
     }
 
     #[test]
-    fn dense_backward_baseline_matches_exact_bitwise() {
-        let data = chunky_data(24);
-        let run = |cfg: TrainerConfig| {
-            let mut rng = Rng::seed_from(13);
-            let mut net = Network::mlp(
-                &[6, 12, 3],
-                NeuronKind::Adaptive,
-                NeuronParams::paper_defaults().with_v_th(0.4),
-                &mut rng,
-            );
-            let mut trainer = Trainer::new(cfg);
-            let mut last = None;
-            for _ in 0..2 {
-                last = Some(trainer.epoch_classification(&mut net, &data, &RateCrossEntropy));
-            }
-            let weights: Vec<Vec<f32>> = net
-                .layers()
-                .iter()
-                .map(|l| l.weights().as_slice().to_vec())
-                .collect();
-            (weights, last.unwrap())
-        };
-        let base = TrainerConfig {
-            batch_size: 8,
-            optimizer: Optimizer::adam(0.01),
+    fn epoch_without_timesteps_reports_zero_backward_density() {
+        // Every sample has T = 0, so no adjoint entry is examined.
+        let data: Vec<_> = (0..4).map(|i| (SpikeRaster::zeros(0, 6), i % 3)).collect();
+        let mut rng = Rng::seed_from(15);
+        let mut net = Network::mlp(
+            &[6, 8, 3],
+            NeuronKind::Adaptive,
+            NeuronParams::paper_defaults(),
+            &mut rng,
+        );
+        let mut trainer = Trainer::new(TrainerConfig {
+            batch_size: 4,
             ..TrainerConfig::default()
-        };
-        let (dense_w, dense_stats) = run(base.clone().with_dense_backward());
-        let (exact_w, exact_stats) = run(base.with_sparsity(SparsityPolicy::Exact));
-        assert_eq!(dense_w, exact_w);
-        assert_eq!(dense_stats.mean_loss, exact_stats.mean_loss);
-        // The dense pass prunes nothing: density reports 1. Exact
-        // reports the genuine nonzero fraction, which is below 1 on
-        // this data (the surrogate tail underflows to exact zeros).
-        assert_eq!(dense_stats.backward_event_density, 1.0);
-        assert!(exact_stats.backward_event_density > 0.0);
-        assert!(exact_stats.backward_event_density <= 1.0);
+        });
+        let stats = trainer.epoch_classification(&mut net, &data, &RateCrossEntropy);
+        assert_eq!(stats.samples, 4);
+        assert_eq!(stats.backward_event_density, 0.0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! kernels, from the dense reference implementation, and from a
 //! simulated RRAM crossbar deployment. This crate re-exports the core
 //! engine ([`Engine`], [`Session`], [`InferenceBackend`] — implemented
-//! by the bare [`Network`] and by [`DenseBackend`]) and adds the third
-//! backend: [`HardwareBackend`], a quantized, variation-perturbed
-//! [`Deployment`] behind the same trait.
+//! by the bare [`Network`] and by [`DenseBackend`]) and the third
+//! backend: a quantized, variation-perturbed [`Deployment`], which
+//! implements the same trait and is built by [`hardware`].
 //!
 //! Every backend routes inference through the core forward kernels,
 //! which carry `snn-obs` flight-recorder hooks: when a caller installs
@@ -59,69 +59,18 @@ pub use snn_core::stream::{StreamError, StreamSession};
 pub use snn_core::Drive;
 pub use snn_hardware::deploy::{deploy, DeployConfig, Deployment};
 
-use snn_core::{Forward, Network, ScratchSpace, SpikeRaster};
+use snn_core::Network;
 use snn_tensor::Rng;
 use std::sync::Arc;
 
-/// The RRAM crossbar backend: a trained network deployed onto quantized,
-/// variation-perturbed crossbars ([`Deployment`]) and evaluated through
-/// the crossbars' *effective* weights.
-///
-/// The deployment happens once at construction; inference afterwards is
-/// the same allocation-free event-driven path as the bare [`Network`], so
-/// software/hardware accuracy comparisons measure the non-idealities,
-/// not a different compute path.
-#[derive(Debug, Clone)]
-pub struct HardwareBackend {
-    deployment: Deployment,
-    cfg: DeployConfig,
-    seed: u64,
-}
-
-impl HardwareBackend {
-    /// Deploys `net` with the given quantization/variation config; the
-    /// seed drives the device-variation draws (same seed, same devices).
-    pub fn deploy(net: &Network, cfg: DeployConfig, seed: u64) -> Self {
-        let mut rng = Rng::seed_from(seed);
-        Self {
-            deployment: deploy(net, cfg, &mut rng),
-            cfg,
-            seed,
-        }
-    }
-
-    /// The underlying deployment (crossbars, per-layer mapping reports).
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
-
-    /// The deployment config used (bits, deviation, `g_max`).
-    pub fn config(&self) -> DeployConfig {
-        self.cfg
-    }
-
-    /// The variation seed used.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-impl InferenceBackend for HardwareBackend {
-    fn network(&self) -> &Network {
-        self.deployment.network()
-    }
-
-    fn label(&self) -> &str {
-        "hardware"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        InferenceBackend::forward_into(&self.deployment, input, fwd, scratch);
-    }
-}
-
 /// [`BackendFactory`] deploying the engine's network onto RRAM crossbars
 /// at build time — construct via [`hardware`].
+///
+/// The backend is the [`Deployment`] itself, evaluated through the
+/// crossbars' *effective* weights on the same allocation-free
+/// event-driven path as the bare [`Network`], so software/hardware
+/// accuracy comparisons measure the non-idealities, not a different
+/// compute path.
 #[derive(Debug, Clone, Copy)]
 pub struct HardwareFactory {
     /// Quantization bits, relative deviation σ, full-on conductance.
@@ -132,7 +81,7 @@ pub struct HardwareFactory {
 
 impl BackendFactory for HardwareFactory {
     fn build(&self, net: Network) -> Arc<dyn InferenceBackend> {
-        Arc::new(HardwareBackend::deploy(&net, self.cfg, self.seed))
+        Arc::new(deploy(&net, self.cfg, &mut Rng::seed_from(self.seed)))
     }
 
     fn describe(&self) -> &str {
@@ -164,7 +113,7 @@ pub fn hardware(cfg: DeployConfig, seed: u64) -> Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_core::NeuronKind;
+    use snn_core::{NeuronKind, SpikeRaster};
     use snn_neuron::NeuronParams;
 
     fn net(seed: u64) -> Network {
@@ -216,9 +165,14 @@ mod tests {
     #[test]
     fn hardware_backend_is_seed_deterministic() {
         let net = net(3);
-        let a = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 5);
-        let b = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 5);
-        let c = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 6);
+        let cfg = DeployConfig::four_bit().with_deviation(0.3);
+        let engine = |seed| {
+            Engine::from_network(net.clone())
+                .backend(hardware(cfg, seed))
+                .build()
+        };
+        let (a, b, c) = (engine(5), engine(5), engine(6));
+        assert_eq!(a.backend().label(), "hardware");
         assert_eq!(
             a.network().layers()[0].weights(),
             b.network().layers()[0].weights()
@@ -227,9 +181,6 @@ mod tests {
             a.network().layers()[0].weights(),
             c.network().layers()[0].weights()
         );
-        assert_eq!(a.config(), DeployConfig::four_bit().with_deviation(0.3));
-        assert_eq!(a.seed(), 5);
-        assert!(a.deployment().total_devices() > 0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! recurrences of the SNN forward pass factor through products with
 //! *binary* spike vectors. This module exploits both facts:
 //!
-//! * [`dot`] / [`axpy`] — dense primitives laned through
-//!   [`crate::lanes`] (fixed-width `f32x8` chunk loops with a fixed
-//!   combine order; AVX2 dispatch at runtime), used by every dense
-//!   matrix product in [`Matrix`].
+//! * [`dot`] / [`axpy`] and the other elementwise primitives —
+//!   re-exported from [`crate::lanes`] (fixed-width `f32x8` chunk loops
+//!   with a fixed combine order; AVX2 dispatch at runtime), used by
+//!   every dense matrix product in [`Matrix`].
 //! * [`ColMajor`] — a column-major mirror of a weight matrix, kept in
 //!   sync by the owning layer, whose [`ColMajor::accumulate_columns`]
 //!   computes `y += W·x` for a **binary sparse** `x` by summing only the
@@ -41,7 +41,10 @@
 use crate::lanes;
 use crate::Matrix;
 
-pub use crate::lanes::{reduce_max, set_force_scalar, simd_enabled};
+pub use crate::lanes::{
+    axpy, carry_decay_out, decay_axpy, dot, reduce_max, scale, scale_copy, set_force_scalar,
+    simd_enabled, threshold_mask,
+};
 
 /// Output-row tile for the cache-blocked column accumulation: 4096
 /// `f32`s = 16 KiB per partial-sum segment, small enough that the `y`
@@ -49,70 +52,6 @@ pub use crate::lanes::{reduce_max, set_force_scalar, simd_enabled};
 /// drained into it, and large enough that the per-column segment jumps
 /// (one per tile per active column) stay cheap at high spike densities.
 pub const BLOCK_ROWS: usize = 4096;
-
-/// Dense dot product over 8 SIMD lanes with a fixed combine order (see
-/// [`crate::lanes::dot`]).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    lanes::dot(a, b)
-}
-
-/// `y += alpha * x`, laned.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    lanes::axpy(alpha, x, y);
-}
-
-/// `x *= alpha`, laned (leaky-integrator decay step).
-#[inline]
-pub fn scale(alpha: f32, x: &mut [f32]) {
-    lanes::scale(alpha, x);
-}
-
-/// `y[i] = a·x[i] + b·y[i]` — the decay-and-charge update shared by the
-/// trace recursions of the forward pass (`k = α·k + x[t]`) and the
-/// adjoint recursions of BPTT (`dh = −ϑ·dv + β·dh`).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn decay_axpy(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
-    lanes::decay_axpy(a, x, b, y);
-}
-
-/// `carry[i] = add[i] + alpha·carry[i]; out[i] = carry[i]` — the BPTT
-/// synapse-trace adjoint `dk[t] = Wᵀ·dv + α·dk[t+1]` with its
-/// write-through into the downstream adjoint row. The dense and
-/// event-driven backward passes call this identical helper, which is
-/// part of what keeps `SparsityPolicy::Exact` bitwise-equal to dense.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn carry_decay_out(alpha: f32, add: &[f32], carry: &mut [f32], out: &mut [f32]) {
-    lanes::carry_decay_out(alpha, add, carry, out);
-}
-
-/// `out[i] = alpha·x[i]` — the hard-reset input-gain projection
-/// `dx[t] = gain·(Wᵀ·dv)`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn scale_copy(alpha: f32, x: &[f32], out: &mut [f32]) {
-    lanes::scale_copy(alpha, x, out);
-}
 
 /// `x *= decay; x[i] += 1.0 for i in events` — one trace update of the
 /// event-driven forward pass (the synapse trace `k = α·k + x[t]` for a
@@ -128,22 +67,6 @@ pub fn decay_add_unit(decay: f32, x: &mut [f32], events: &[usize]) {
     for &i in events {
         x[i] += 1.0;
     }
-}
-
-/// Collects the indices of entries with `|x[i]| > eps` into `out`
-/// (cleared first, capacity reused) — the non-mutating thresholding
-/// primitive of the event-driven backward pass (the BPTT uses it to
-/// rebuild spike-column lists from forward records; the adjoint side
-/// goes through `GradRaster::push_step_pruned`, which also zeroes the
-/// losers).
-///
-/// With `eps = 0.0` the surviving set is exactly the nonzero entries,
-/// which is what makes the `Exact` sparsity policy bit-identical to the
-/// dense kernels: every dense gradient kernel already skips zero rows,
-/// so pruning precisely that set changes nothing.
-#[inline]
-pub fn threshold_mask(x: &[f32], eps: f32, out: &mut Vec<usize>) {
-    lanes::threshold_mask(x, eps, out);
 }
 
 /// Fused leak + event accumulation: `y = alpha·y + Σ_{c ∈ active}

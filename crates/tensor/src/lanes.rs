@@ -188,9 +188,7 @@ pub fn decay_axpy(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
 
 /// `carry[i] = add[i] + alpha·carry[i]; out[i] = carry[i]`, laned — the
 /// BPTT synapse-trace adjoint recursion `dk[t] = Wᵀ·dv + α·dk[t+1]`
-/// with its write-through to the downstream adjoint row. Used
-/// identically by the dense and event-driven backward passes, which is
-/// part of what keeps `SparsityPolicy::Exact` bitwise-equal to dense.
+/// with its write-through to the downstream adjoint row.
 ///
 /// # Panics
 ///
@@ -217,6 +215,8 @@ pub fn scale_copy(alpha: f32, x: &[f32], out: &mut [f32]) {
 /// Collects the indices with `|x[i]| > eps` into `out` (cleared first,
 /// ascending order). On AVX2 the compare runs 8 lanes at a time with a
 /// movemask scan; index sets are exact, so the paths agree bitwise.
+/// With `eps = 0.0` the set is exactly the nonzero entries (the BPTT
+/// rebuilds spike-column lists from forward records this way).
 #[inline]
 pub fn threshold_mask(x: &[f32], eps: f32, out: &mut Vec<usize>) {
     out.clear();

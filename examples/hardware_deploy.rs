@@ -8,7 +8,7 @@
 use neurosnn::core::train::{Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use neurosnn::core::{Network, NeuronKind};
 use neurosnn::data::nmnist::{generate, NmnistConfig};
-use neurosnn::engine::{hardware, Backend, DeployConfig, Engine, HardwareBackend};
+use neurosnn::engine::{deploy, hardware, Backend, DeployConfig, Engine};
 use neurosnn::hardware::{power, transient, CircuitParams};
 use neurosnn::neuron::NeuronParams;
 use neurosnn::tensor::Rng;
@@ -47,19 +47,18 @@ fn main() {
     // --- Deploy at 4 and 5 bits with and without variation: the same
     // Engine API, hardware backend (quantized crossbars + variation) ---
     for (bits, sigma) in [(4u8, 0.0f32), (4, 0.2), (5, 0.2), (4, 0.5)] {
-        let backend = HardwareBackend::deploy(
+        let dep = deploy(
             &net,
             DeployConfig {
                 bits,
                 deviation: sigma,
                 g_max: 1e-4,
             },
-            99,
+            &mut Rng::seed_from(99),
         );
-        let dep = backend.deployment();
         let devices = dep.total_devices();
         let mean_err = dep.reports[0].mean_abs_error;
-        let hw_acc = Engine::from_backend(std::sync::Arc::new(backend)).evaluate(&split.test);
+        let hw_acc = Engine::from_backend(std::sync::Arc::new(dep)).evaluate(&split.test);
         println!(
             "hardware {bits}-bit, deviation {sigma:.1}: accuracy {:.1}%  ({devices} RRAM devices, mean |Δw| {mean_err:.4})",
             hw_acc * 100.0,

@@ -670,7 +670,7 @@ mod tests {
         // The event-driven pass must agree with the dense rollout over
         // the *mutated* weights (spikes are exact; a stale mirror would
         // produce the pre-mutation spike train).
-        let dense = layer.forward(&Matrix::from_vec(6, 4, raster.as_slice().to_vec()));
+        let dense = layer.forward(&raster.to_matrix());
         assert_eq!(rec.o.as_slice(), dense.o.as_slice());
     }
 

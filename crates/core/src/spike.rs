@@ -3,18 +3,26 @@
 //! A spike train is a sequence of time-shifted Dirac deltas; to compare
 //! two of them the paper maps trains to continuous traces with the kernel
 //! `f[t] = e^{−t/τm} − e^{−t/τs}` and measures the squared trace distance
-//! (eqs. 15–16, after Park et al.). This module provides the dense
-//! [`SpikeRaster`] container used throughout the workspace plus those
-//! kernel utilities.
+//! (eqs. 15–16, after Park et al.). This module provides the bit-packed
+//! [`SpikeRaster`] container used throughout the workspace, its
+//! event-driven view [`ActiveIndices`], plus those kernel utilities.
 
 use snn_json::Json;
+use snn_tensor::Matrix;
 use std::fmt;
 
-/// Dense binary spike tensor: `steps` timesteps × `channels` spike trains.
+/// Bits per storage word of a [`SpikeRaster`].
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// Binary spike tensor: `steps` timesteps × `channels` spike trains.
 ///
-/// Stored row-major by timestep so `raster.step(t)` is the network input
-/// vector at time `t`. Values are `f32` 0/1 so rasters can be fed to the
-/// linear algebra directly.
+/// Stored bit-packed, one bit per cell: each timestep is a row of
+/// `channels.div_ceil(64)` `u64` words with channel `c` at bit `c % 64`
+/// of word `c / 64`, and the padding bits past `channels` always zero.
+/// An SHD raster (100 × 700) is 1,100 words (8.8 KB) instead of 70,000
+/// `f32`s (280 KB). The network consumes rasters through
+/// [`ActiveIndices`], which walks each row's set bits; use
+/// [`to_matrix`](Self::to_matrix) where a dense 0/1 matrix is needed.
 ///
 /// # Examples
 ///
@@ -24,13 +32,41 @@ use std::fmt;
 /// let mut r = SpikeRaster::zeros(5, 3);
 /// r.set(2, 1, true);
 /// assert_eq!(r.spike_count(), 1);
-/// assert_eq!(r.step(2), &[0.0, 1.0, 0.0]);
+/// assert!(r.get(2, 1));
+/// assert_eq!(r.to_matrix().row(2), &[0.0, 1.0, 0.0]);
+/// assert_eq!(r.active_indices().step(2), &[1]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpikeRaster {
     steps: usize,
     channels: usize,
-    data: Vec<f32>,
+    /// `steps` rows of `channels.div_ceil(64)` words; padding bits zero.
+    bits: Vec<u64>,
+}
+
+/// The channels of the set bits in one packed row, ascending: the not
+/// yet emitted bits of the word whose bit 0 is channel `base`, then the
+/// `rest` of the row.
+struct SetBits<'a> {
+    word: u64,
+    base: usize,
+    rest: &'a [u64],
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&next, rest) = self.rest.split_first()?;
+            self.word = next;
+            self.base += WORD_BITS;
+            self.rest = rest;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 impl SpikeRaster {
@@ -39,7 +75,7 @@ impl SpikeRaster {
         Self {
             steps,
             channels,
-            data: vec![0.0; steps * channels],
+            bits: vec![0; steps * channels.div_ceil(WORD_BITS)],
         }
     }
 
@@ -49,8 +85,8 @@ impl SpikeRaster {
     pub fn resize_zeroed(&mut self, steps: usize, channels: usize) {
         self.steps = steps;
         self.channels = channels;
-        self.data.clear();
-        self.data.resize(steps * channels, 0.0);
+        self.bits.clear();
+        self.bits.resize(steps * channels.div_ceil(WORD_BITS), 0);
     }
 
     /// Builds a raster from `(t, channel)` event pairs; events outside
@@ -75,14 +111,18 @@ impl SpikeRaster {
         self.channels
     }
 
-    /// The input vector at time `t`.
+    /// Word index and bit mask of cell `(t, c)`.
     ///
     /// # Panics
     ///
-    /// Panics if `t >= steps`.
-    pub fn step(&self, t: usize) -> &[f32] {
-        assert!(t < self.steps, "step {t} out of range {}", self.steps);
-        &self.data[t * self.channels..(t + 1) * self.channels]
+    /// Panics if out of range.
+    fn locate(&self, t: usize, c: usize) -> (usize, u64) {
+        assert!(
+            t < self.steps && c < self.channels,
+            "({t},{c}) out of range"
+        );
+        let word = t * self.channels.div_ceil(WORD_BITS) + c / WORD_BITS;
+        (word, 1 << (c % WORD_BITS))
     }
 
     /// Whether channel `c` spikes at time `t`.
@@ -91,11 +131,8 @@ impl SpikeRaster {
     ///
     /// Panics if out of range.
     pub fn get(&self, t: usize, c: usize) -> bool {
-        assert!(
-            t < self.steps && c < self.channels,
-            "({t},{c}) out of range"
-        );
-        self.data[t * self.channels + c] != 0.0
+        let (word, mask) = self.locate(t, c);
+        self.bits[word] & mask != 0
     }
 
     /// Sets or clears the spike at `(t, c)`.
@@ -104,24 +141,38 @@ impl SpikeRaster {
     ///
     /// Panics if out of range.
     pub fn set(&mut self, t: usize, c: usize, spike: bool) {
-        assert!(
-            t < self.steps && c < self.channels,
-            "({t},{c}) out of range"
-        );
-        self.data[t * self.channels + c] = if spike { 1.0 } else { 0.0 };
+        let (word, mask) = self.locate(t, c);
+        if spike {
+            self.bits[word] |= mask;
+        } else {
+            self.bits[word] &= !mask;
+        }
     }
 
     /// Total number of spikes.
     pub fn spike_count(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Channels that spike at time `t`, ascending: a scan of the step's
+    /// packed words for set bits.
+    pub(crate) fn step_channels(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = self.channels.div_ceil(WORD_BITS);
+        let row = &self.bits[t * words..(t + 1) * words];
+        let (word, rest) = row.split_first().map_or((0, row), |(&w, rest)| (w, rest));
+        SetBits {
+            word,
+            base: 0,
+            rest,
+        }
     }
 
     /// Per-channel spike counts (the rate-coding summary).
     pub fn channel_counts(&self) -> Vec<f32> {
         let mut counts = vec![0.0; self.channels];
         for t in 0..self.steps {
-            for (c, &x) in self.step(t).iter().enumerate() {
-                counts[c] += x;
+            for c in self.step_channels(t) {
+                counts[c] += 1.0;
             }
         }
         counts
@@ -129,21 +180,18 @@ impl SpikeRaster {
 
     /// Mean firing rate over all trains (spikes per channel per step).
     pub fn mean_rate(&self) -> f32 {
-        if self.data.is_empty() {
+        let cells = self.steps * self.channels;
+        if cells == 0 {
             return 0.0;
         }
-        self.spike_count() as f32 / self.data.len() as f32
+        self.spike_count() as f32 / cells as f32
     }
 
     /// Spike events as `(t, channel)` pairs in time order.
     pub fn events(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.spike_count());
         for t in 0..self.steps {
-            for c in 0..self.channels {
-                if self.get(t, c) {
-                    out.push((t, c));
-                }
-            }
+            out.extend(self.step_channels(t).map(|c| (t, c)));
         }
         out
     }
@@ -160,13 +208,22 @@ impl SpikeRaster {
             self.channels
         );
         (0..self.steps)
-            .map(|t| self.data[t * self.channels + c])
+            .map(|t| if self.get(t, c) { 1.0 } else { 0.0 })
             .collect()
     }
 
-    /// Flat row-major (by timestep) buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
+    /// The raster as a dense `steps × channels` 0/1 matrix (row `t` is
+    /// the input vector at time `t`) — for the dense reference paths and
+    /// losses that read spikes as values.
+    pub fn to_matrix(&self) -> Matrix {
+        let mut m = Matrix::zeros(self.steps, self.channels);
+        for t in 0..self.steps {
+            let row = m.row_mut(t);
+            for c in self.step_channels(t) {
+                row[c] = 1.0;
+            }
+        }
+        m
     }
 
     /// Builds the per-step active-channel index lists (CSR layout) for
@@ -303,8 +360,11 @@ impl SpikeRaster {
     /// used by the figure harnesses. Channels are downsampled to at most
     /// `max_rows` rows.
     pub fn render_ascii(&self, max_rows: usize) -> String {
+        if self.channels == 0 {
+            return String::new();
+        }
         let rows = self.channels.min(max_rows.max(1));
-        let group = (self.channels + rows - 1) / rows.max(1);
+        let group = self.channels.div_ceil(rows);
         let mut out = String::new();
         for r in (0..rows).rev() {
             for t in 0..self.steps {
@@ -397,15 +457,12 @@ impl ActiveIndices {
         self.offsets.push(self.indices.len());
     }
 
-    /// Refills from a raster, reusing the backing buffers.
+    /// Refills from a raster, reusing the backing buffers: a scan of
+    /// each step's packed words for set bits.
     pub fn fill_from(&mut self, raster: &SpikeRaster) {
         self.clear();
         for t in 0..raster.steps() {
-            for (c, &x) in raster.step(t).iter().enumerate() {
-                if x != 0.0 {
-                    self.push(c);
-                }
-            }
+            self.indices.extend(raster.step_channels(t));
             self.end_step();
         }
     }
@@ -830,6 +887,34 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines.iter().all(|l| l.len() == 10));
         assert!(lines[3].contains('|')); // channel 0 is the bottom row
+    }
+
+    #[test]
+    fn ascii_render_of_zero_channels_is_empty() {
+        assert_eq!(SpikeRaster::zeros(5, 0).render_ascii(4), "");
+        assert_eq!(SpikeRaster::zeros(0, 0).render_ascii(0), "");
+    }
+
+    #[test]
+    fn raster_packs_one_bit_per_cell() {
+        // 700 channels pad to 11 words per step.
+        let r = SpikeRaster::zeros(100, 700);
+        assert_eq!(r.bits.len(), 1_100);
+        assert_eq!(SpikeRaster::zeros(3, 64).bits.len(), 3);
+        assert_eq!(SpikeRaster::zeros(3, 65).bits.len(), 6);
+    }
+
+    #[test]
+    fn to_matrix_is_dense_zero_one() {
+        let r = SpikeRaster::from_events(3, 66, &[(0, 65), (2, 0), (2, 64)]);
+        let m = r.to_matrix();
+        assert_eq!(m.shape(), (3, 66));
+        for t in 0..3 {
+            for c in 0..66 {
+                assert_eq!(m.row(t)[c], if r.get(t, c) { 1.0 } else { 0.0 });
+            }
+        }
+        assert_eq!(m.as_slice().iter().sum::<f32>(), 3.0);
     }
 
     #[test]

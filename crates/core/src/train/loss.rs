@@ -168,14 +168,6 @@ mod tests {
     use super::*;
     use crate::spike::raster_distance;
 
-    fn output_from(raster: &SpikeRaster) -> Matrix {
-        Matrix::from_vec(
-            raster.steps(),
-            raster.channels(),
-            raster.as_slice().to_vec(),
-        )
-    }
-
     #[test]
     fn rate_ce_prefers_firing_class() {
         let output = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[1.0, 1.0, 0.0], &[1.0, 0.0, 0.0]]);
@@ -217,7 +209,7 @@ mod tests {
     #[test]
     fn van_rossum_zero_for_perfect_match() {
         let target = SpikeRaster::from_events(20, 3, &[(2, 0), (7, 1), (15, 2)]);
-        let output = output_from(&target);
+        let output = target.to_matrix();
         let (loss, grad) = VanRossumLoss::paper_default().loss_and_grad(&output, &target);
         assert_eq!(loss, 0.0);
         assert_eq!(grad.max_abs(), 0.0);
@@ -227,7 +219,7 @@ mod tests {
     fn van_rossum_loss_matches_raster_distance() {
         let target = SpikeRaster::from_events(30, 2, &[(5, 0), (20, 1)]);
         let produced = SpikeRaster::from_events(30, 2, &[(8, 0), (12, 1)]);
-        let output = output_from(&produced);
+        let output = produced.to_matrix();
         let (loss, _) = VanRossumLoss::paper_default().loss_and_grad(&output, &target);
         let dist = raster_distance(TraceKernel::paper_defaults(), &produced, &target);
         assert!((loss - dist).abs() < 1e-5, "{loss} vs {dist}");
@@ -269,7 +261,7 @@ mod tests {
         let target = SpikeRaster::from_events(t_steps, 1, &[(10, 0)]);
         let produced = SpikeRaster::from_events(t_steps, 1, &[(20, 0)]);
         let (_, grad) =
-            VanRossumLoss::paper_default().loss_and_grad(&output_from(&produced), &target);
+            VanRossumLoss::paper_default().loss_and_grad(&produced.to_matrix(), &target);
         assert!(grad.row(10)[0] < 0.0, "should encourage the missing spike");
         assert!(
             grad.row(20)[0] > 0.0,

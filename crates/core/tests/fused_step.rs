@@ -318,7 +318,7 @@ fn dense_reference_is_pinned_bitwise() {
                 }
             }
             let fwd = net.forward_dense_reference(&raster);
-            let mut x = Matrix::from_vec(t_steps, 37, raster.as_slice().to_vec());
+            let mut x = raster.to_matrix();
             for (l, layer) in net.layers().iter().enumerate() {
                 let want = dense_reference_layer(layer, &x);
                 let got = &fwd.records[l];

@@ -6,9 +6,9 @@ use snn_core::train::{
     backward, backward_into, backward_sparse_into, ClassificationLoss, Gradients, PatternLoss,
     RateCrossEntropy, SparsityPolicy, VanRossumLoss,
 };
-use snn_core::{Network, NeuronKind, SpikeRaster};
+use snn_core::{ActiveIndices, Network, NeuronKind, SpikeRaster};
 use snn_neuron::{NeuronParams, Surrogate};
-use snn_tensor::{Matrix, Rng};
+use snn_tensor::Rng;
 
 fn raster_strategy(steps: usize, channels: usize) -> impl Strategy<Value = SpikeRaster> {
     proptest::collection::vec(any::<bool>(), steps * channels).prop_map(move |bits| {
@@ -22,7 +22,71 @@ fn raster_strategy(steps: usize, channels: usize) -> impl Strategy<Value = Spike
     })
 }
 
+/// `(steps, channels, events)` with widths on both sides of the 64-bit
+/// word boundaries of the packed raster.
+fn packed_raster_case() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize)>)> {
+    (
+        0usize..21,
+        prop_oneof![
+            Just(1usize),
+            Just(63usize),
+            Just(64usize),
+            Just(65usize),
+            Just(700usize),
+            Just(2312usize)
+        ],
+    )
+        .prop_flat_map(|(steps, channels)| {
+            proptest::collection::vec((0..steps.max(1), 0..channels), 0usize..120)
+                .prop_map(move |events| (steps, channels, events))
+        })
+}
+
 proptest! {
+    #[test]
+    fn packed_raster_matches_cellwise_reference(case in packed_raster_case()) {
+        let (steps, channels, events) = case;
+        let r = SpikeRaster::from_events(steps, channels, &events);
+
+        let mut idx = ActiveIndices::new();
+        idx.fill_from(&r);
+        prop_assert_eq!(idx.steps(), steps);
+        for t in 0..steps {
+            let want: Vec<usize> = (0..channels).filter(|&c| r.get(t, c)).collect();
+            prop_assert_eq!(idx.step(t), want.as_slice());
+        }
+        prop_assert_eq!(r.spike_count(), r.events().len());
+
+        let back = SpikeRaster::from_json(&r.to_json()).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&back, &r);
+        let back = SpikeRaster::from_delta_events(steps, channels, &r.delta_events())
+            .map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&back, &r);
+
+        let in_range: Vec<(usize, usize)> =
+            events.iter().copied().filter(|&(t, _)| t < steps).collect();
+        if let Some(&(t, c)) = in_range.first() {
+            let mut cleared = r.clone();
+            cleared.set(t, c, false);
+            prop_assert!(!cleared.get(t, c));
+            prop_assert_eq!(cleared.spike_count(), r.spike_count() - 1);
+        }
+
+        // Recycle a wider, longer, fully set raster: no stale bit from
+        // it may survive, padding included.
+        let mut reused = SpikeRaster::zeros(steps + 3, channels + 70);
+        for t in 0..steps + 3 {
+            for c in 0..channels + 70 {
+                reused.set(t, c, true);
+            }
+        }
+        reused.resize_zeroed(steps, channels);
+        for &(t, c) in &in_range {
+            reused.set(t, c, true);
+        }
+        prop_assert_eq!(&reused, &r);
+    }
+
     #[test]
     fn van_rossum_is_a_pseudometric(
         a in raster_strategy(20, 2),
@@ -61,7 +125,7 @@ proptest! {
 
     #[test]
     fn rate_ce_loss_is_finite_and_grad_bounded(r in raster_strategy(15, 4), target in 0usize..4) {
-        let output = Matrix::from_vec(15, 4, r.as_slice().to_vec());
+        let output = r.to_matrix();
         let (loss, grad) = RateCrossEntropy.loss_and_grad(&output, target);
         prop_assert!(loss.is_finite() && loss >= 0.0);
         // Softmax gradient entries live in [−1, 1].
@@ -70,7 +134,7 @@ proptest! {
 
     #[test]
     fn van_rossum_loss_zero_iff_equal(r in raster_strategy(20, 3)) {
-        let output = Matrix::from_vec(20, 3, r.as_slice().to_vec());
+        let output = r.to_matrix();
         let (loss, grad) = VanRossumLoss::paper_default().loss_and_grad(&output, &r);
         prop_assert_eq!(loss, 0.0);
         prop_assert_eq!(grad.max_abs(), 0.0);

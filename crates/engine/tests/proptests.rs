@@ -87,9 +87,10 @@ proptest! {
         prop_assert_eq!(a.steps(), b.steps());
         prop_assert_eq!(a.channels(), b.channels());
         let flips = a
+            .to_matrix()
             .as_slice()
             .iter()
-            .zip(b.as_slice())
+            .zip(b.to_matrix().as_slice())
             .filter(|(x, y)| x != y)
             .count();
         prop_assert!(flips <= 2, "{} raster entries flipped at 12 bits", flips);
